@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import BadConstraint, EmptyInput, TooFewPoints
+from .errors import EmptyInput, TooFewPoints
 
 DEFAULT_ALPHA = 0.01
 DEFAULT_SENSITIVITY = 1.0
@@ -40,14 +40,6 @@ def normalize_scores(scores: list[float]) -> list[float]:
         return [1.0] * len(scores)
     span = hi - lo
     return [(s - lo) / span for s in scores]
-
-
-def selection_confidence(sorted_scores: list[float], c: int, alpha: float) -> float:
-    """-ln(mean of the top-c scores + alpha); scores must be in [0, 1]."""
-    if c < 1 or c > len(sorted_scores):
-        raise BadConstraint(f"c={c} out of range 1..{len(sorted_scores)}")
-    mean = sum(sorted_scores[:c]) / c
-    return -math.log(mean + alpha)
 
 
 def sc_curve(scores: list[float], c_max: int, alpha: float) -> ScoreCurve:

@@ -19,21 +19,16 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import adaptive_selection, date_ranking, event_ranking, evaluation
-from .corpus import (
-    Timeline,
-    Topic,
-    build_vectorizer,
-    filter_by_queries,
-    load_dataset,
-)
+from .corpus import Timeline, Topic, filter_by_queries, load_dataset
 from .errors import (
     AdaptlsError,
     InsufficientTopics,
     MissingPrediction,
     UnknownTopic,
 )
-from .summarizer import KPolicy, build_timeline
+from .summarizer import KPolicy, build_timeline, expert_k
 from .temporal import annotate_topic
+from .tfidf import build_vectorizer
 
 DATE_METHODS = ("datewise", "adprm-d")
 EVENT_METHODS = ("clust", "adprm-e")
@@ -61,7 +56,6 @@ class RunConfig:
     l2_lambda: float = date_ranking.DEFAULT_LAMBDA
     use_query_filter: bool = False
     jobs: int = 1
-    seed: int = 0  # reserved; the pipeline is deterministic
 
     def validate(self) -> None:
         if self.method not in DATE_METHODS + EVENT_METHODS:
@@ -122,8 +116,12 @@ def _load_regressor(config: RunConfig, topic_name: str):
     return date_ranking.Regressor.load(path)
 
 
-def _score_items(topic: Topic, config: RunConfig):
-    """Ranked (date, cluster-or-None, score) items for the configured method."""
+def _score_items(topic: Topic, config: RunConfig, vec=None):
+    """Ranked (date, cluster-or-None, score) items for the configured method.
+
+    Event methods build their article graph from `vec`, the topic's
+    representation (built here when not given).
+    """
     if config.method in DATE_METHODS:
         regressor = _load_regressor(config, topic.name)
         return [
@@ -138,6 +136,7 @@ def _score_items(topic: Topic, config: RunConfig):
         max_iter=config.mcl_max_iter,
         eps=config.mcl_eps,
         prune=config.mcl_prune,
+        vec=vec,
     )
     return [(cluster.event_date, cluster, score) for cluster, score in scored]
 
@@ -156,16 +155,11 @@ def _select_top(items, limit: int):
     return selected
 
 
-def _expert_k(timeline: Timeline) -> int:
-    mean = timeline.total_sentences / timeline.length
-    return max(1, int(mean + 0.5))
-
-
 def _run_topic(topic: Topic, config: RunConfig):
     """Generate one timeline per reference timeline of the topic."""
     topic = _prepare(topic, config)
     vec = build_vectorizer(topic)
-    items = _score_items(topic, config)
+    items = _score_items(topic, config, vec)
     summarizer = config.effective_summarizer()
 
     outputs = []
@@ -196,7 +190,7 @@ def _run_topic(topic: Topic, config: RunConfig):
             )
     else:
         for reference in topic.reference_timelines:
-            kpolicy = KPolicy.fixed(_expert_k(reference))
+            kpolicy = KPolicy.fixed(expert_k([reference]))
             selected = _select_top(items, reference.length)
             timeline = build_timeline(topic, selected, kpolicy, summarizer, vec)
             outputs.append(
@@ -220,10 +214,13 @@ def cmd_train(args) -> int:
         )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    blocks = {}
     for topic in dataset:
         annotate_topic(topic)
+        if topic.reference_timelines:
+            blocks[topic.name] = date_ranking.training_rows(topic)
     for held_out in dataset:
-        training = [t for t in dataset if t.name != held_out.name]
+        training = [block for name, block in blocks.items() if name != held_out.name]
         regressor = date_ranking.train_regressor(training, args.l2_lambda)
         regressor.save(out_dir / f"regressor_{_safe_name(held_out.name)}.json")
     print(f"wrote {len(dataset)} regressors to {out_dir}")
@@ -366,17 +363,9 @@ def cmd_knee_curve(args) -> int:
         f"date_f1__{_safe_name(ref.name)}" for ref in references
     ]
     rows = []
-    dates = [day for day, _, _ in items]
+    top = _select_top(items, len(curve.points))
     for c, sc in curve.points:
-        top_dates = []
-        seen = set()
-        for day in dates:
-            if day not in seen:
-                seen.add(day)
-                top_dates.append(day)
-            if len(top_dates) >= c:
-                break
-        pred = Timeline("top-c", [(day, ["-"]) for day in top_dates])
+        pred = Timeline("top-c", [(day, ["-"]) for day, _ in top[:c]])
         row = [c, f"{sc:.6f}", int(c == l)]
         for ref in references:
             row.append(f"{evaluation.date_f1(pred, ref).f1:.6f}")

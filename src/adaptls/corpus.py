@@ -1,4 +1,4 @@
-"""Data model, dataset ingestion, sentence splitting, tokenization and TF-IDF.
+"""Data model, dataset ingestion, sentence splitting and tokenization.
 
 A dataset is a directory with one sub-directory per topic; each topic
 directory holds ``articles.jsonl``, ``timelines.jsonl`` and an optional
@@ -8,14 +8,13 @@ directory holds ``articles.jsonl``, ``timelines.jsonl`` and an optional
 from __future__ import annotations
 
 import json
-import math
 import re
 from dataclasses import dataclass, field
 from datetime import date as Date
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .errors import DateError, EmptyCorpus, NotFound, ParseError
+from .errors import DateError, NotFound, ParseError
 
 if TYPE_CHECKING:
     from .temporal import DateMention
@@ -178,97 +177,6 @@ def tokenize(sentence: str) -> list[str]:
         if buf:
             tokens.append("".join(buf).translate(_ASCII_LOWER))
     return tokens
-
-
-# ---------------------------------------------------------------------------
-# TF-IDF
-
-
-@dataclass(frozen=True)
-class SparseVector:
-    """L2-normalizable sparse vector as parallel (index, weight) tuples."""
-
-    indices: tuple[int, ...]
-    weights: tuple[float, ...]
-
-    @staticmethod
-    def from_dict(entries: dict[int, float]) -> "SparseVector":
-        items = sorted((i, w) for i, w in entries.items() if w != 0.0)
-        return SparseVector(
-            tuple(i for i, _ in items), tuple(w for _, w in items)
-        )
-
-    def is_zero(self) -> bool:
-        return not self.indices
-
-    def norm(self) -> float:
-        return math.sqrt(sum(w * w for w in self.weights))
-
-    def dot(self, other: "SparseVector") -> float:
-        if len(self.indices) > len(other.indices):
-            return other.dot(self)
-        lookup = dict(zip(other.indices, other.weights))
-        return sum(
-            w * lookup[i] for i, w in zip(self.indices, self.weights) if i in lookup
-        )
-
-    def cosine(self, other: "SparseVector") -> float:
-        denom = self.norm() * other.norm()
-        if denom == 0.0:
-            return 0.0
-        return self.dot(other) / denom
-
-    def scaled(self, factor: float) -> "SparseVector":
-        return SparseVector(
-            self.indices, tuple(w * factor for w in self.weights)
-        )
-
-    def __add__(self, other: "SparseVector") -> "SparseVector":
-        entries = dict(zip(self.indices, self.weights))
-        for i, w in zip(other.indices, other.weights):
-            entries[i] = entries.get(i, 0.0) + w
-        return SparseVector.from_dict(entries)
-
-    def normalized(self) -> "SparseVector":
-        n = self.norm()
-        if n == 0.0:
-            return self
-        return self.scaled(1.0 / n)
-
-
-@dataclass(frozen=True)
-class Vectorizer:
-    """Sentence-level TF-IDF vocabulary with idf(t) = ln(1 + n/(1 + df))."""
-
-    vocabulary: dict[str, int]
-    idf: tuple[float, ...]
-
-
-def build_vectorizer(topic: Topic) -> Vectorizer:
-    sentences = topic.sentences()
-    if not sentences:
-        raise EmptyCorpus(f"topic {topic.name!r} has no sentences")
-    df: dict[str, int] = {}
-    for sent in sentences:
-        for tok in set(sent.tokens):
-            df[tok] = df.get(tok, 0) + 1
-    vocabulary = {tok: i for i, tok in enumerate(sorted(df))}
-    n_docs = len(sentences)
-    idf = [0.0] * len(vocabulary)
-    for tok, col in vocabulary.items():
-        idf[col] = math.log(1.0 + n_docs / (1.0 + df[tok]))
-    return Vectorizer(vocabulary, tuple(idf))
-
-
-def vectorize(vec: Vectorizer, tokens: list[str]) -> SparseVector:
-    """TF-IDF vector for a token list, L2-normalized when non-zero."""
-    tf: dict[int, int] = {}
-    for tok in tokens:
-        col = vec.vocabulary.get(tok)
-        if col is not None:
-            tf[col] = tf.get(col, 0) + 1
-    entries = {col: count * vec.idf[col] for col, count in tf.items()}
-    return SparseVector.from_dict(entries).normalized()
 
 
 # ---------------------------------------------------------------------------

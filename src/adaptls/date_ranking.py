@@ -20,96 +20,52 @@ from .errors import EmptyDataset, SingularSystem
 from .temporal import DateCandidate, candidate_dates
 
 DEFAULT_LAMBDA = 1.0
-N_FEATURES = 9
-
-
-@dataclass(frozen=True)
-class DateFeatures:
-    mention_count: float  # ln(1 + raw count)
-    pub_article_count: float
-    pub_sentence_count: float
-    mentions_1d: float  # ln(1 + mentions resolved within +-1 day)
-    mentions_3d: float
-    mentions_7d: float
-    mention_share: float
-    pos_first: float
-    pos_last: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array(
-            [
-                self.mention_count,
-                self.pub_article_count,
-                self.pub_sentence_count,
-                self.mentions_1d,
-                self.mentions_3d,
-                self.mentions_7d,
-                self.mention_share,
-                self.pos_first,
-                self.pos_last,
-            ]
-        )
 
 
 def _clamp01(x: float) -> float:
     return min(1.0, max(0.0, x))
 
 
-def _features(
-    cand: DateCandidate,
-    mention_counts: dict[Date, int],
-    total_mentions: int,
-    min_pub: Date,
-    max_pub: Date,
-) -> DateFeatures:
-    def window(days: int) -> int:
+def feature_matrix(topic: Topic) -> tuple[list[DateCandidate], np.ndarray]:
+    """All candidates of a topic with their (n, 9) feature rows.
+
+    Columns: ln(1 + mentions), ln(1 + articles published on the date),
+    ln(1 + sentences published on it), ln(1 + mentions within +-1, +-3 and
+    +-7 days), the date's share of all mentions, and its position between
+    the first and the last publication date counted from each end.
+    """
+    candidates = candidate_dates(topic)
+    counts = {c.date: c.mention_count for c in candidates if c.mention_count}
+    total = sum(counts.values())
+    min_pub, max_pub = topic.min_pub, topic.max_pub
+    duration = (max_pub - min_pub).days
+
+    def window(day: Date, days: int) -> int:
         return sum(
-            mention_counts.get(cand.date + timedelta(days=off), 0)
-            for off in range(-days, days + 1)
+            counts.get(day + timedelta(days=off), 0) for off in range(-days, days + 1)
         )
 
-    duration = (max_pub - min_pub).days
-    if duration > 0:
-        pos_first = _clamp01((cand.date - min_pub).days / duration)
-        pos_last = _clamp01((max_pub - cand.date).days / duration)
-    else:
-        pos_first = pos_last = 0.0
-    share = cand.mention_count / total_mentions if total_mentions else 0.0
-    return DateFeatures(
-        mention_count=math.log1p(cand.mention_count),
-        pub_article_count=math.log1p(cand.pub_article_count),
-        pub_sentence_count=math.log1p(cand.pub_sentence_count),
-        mentions_1d=math.log1p(window(1)),
-        mentions_3d=math.log1p(window(3)),
-        mentions_7d=math.log1p(window(7)),
-        mention_share=share,
-        pos_first=pos_first,
-        pos_last=pos_last,
-    )
-
-
-def _mention_counts(candidates: list[DateCandidate]) -> dict[Date, int]:
-    return {c.date: c.mention_count for c in candidates if c.mention_count}
-
-
-def date_features(cand: DateCandidate, topic: Topic) -> DateFeatures:
-    """Feature vector for one candidate date of a topic."""
-    candidates = candidate_dates(topic)
-    counts = _mention_counts(candidates)
-    total = sum(counts.values())
-    return _features(cand, counts, total, topic.min_pub, topic.max_pub)
-
-
-def feature_matrix(topic: Topic) -> tuple[list[DateCandidate], np.ndarray]:
-    """All candidates of a topic with their stacked feature rows."""
-    candidates = candidate_dates(topic)
-    counts = _mention_counts(candidates)
-    total = sum(counts.values())
-    rows = [
-        _features(c, counts, total, topic.min_pub, topic.max_pub).as_array()
-        for c in candidates
-    ]
-    return candidates, np.vstack(rows)
+    rows = []
+    for cand in candidates:
+        if duration > 0:
+            pos_first = _clamp01((cand.date - min_pub).days / duration)
+            pos_last = _clamp01((max_pub - cand.date).days / duration)
+        else:
+            pos_first = pos_last = 0.0
+        rows.append(
+            [
+                math.log1p(cand.mention_count),
+                math.log1p(cand.pub_article_count),
+                math.log1p(cand.pub_sentence_count),
+                math.log1p(window(cand.date, 1)),
+                math.log1p(window(cand.date, 3)),
+                math.log1p(window(cand.date, 7)),
+                cand.mention_count / total if total else 0.0,
+                pos_first,
+                pos_last,
+            ]
+        )
+    return candidates, np.array(rows)
 
 
 @dataclass(frozen=True)
@@ -158,33 +114,28 @@ def solve_ridge(
     return solution[:-1], float(solution[-1])
 
 
-def train_regressor(
-    training_topics: list[Topic], l2_lambda: float = DEFAULT_LAMBDA
-) -> Regressor:
-    """Fit the date regressor on topics with reference timelines.
+def training_rows(topic: Topic) -> tuple[np.ndarray, np.ndarray]:
+    """A topic's feature rows and binary targets.
 
     A date is a positive example iff it appears in any reference timeline of
     its topic.
     """
-    rows = []
-    targets = []
-    for topic in training_topics:
-        if not topic.reference_timelines:
-            continue
-        reference_dates = {
-            day
-            for timeline in topic.reference_timelines
-            for day in timeline.dates()
-        }
-        candidates, X = feature_matrix(topic)
-        rows.append(X)
-        targets.extend(
-            1.0 if c.date in reference_dates else 0.0 for c in candidates
-        )
-    if not rows:
+    reference_dates = {
+        day for timeline in topic.reference_timelines for day in timeline.dates()
+    }
+    candidates, X = feature_matrix(topic)
+    y = np.array([1.0 if c.date in reference_dates else 0.0 for c in candidates])
+    return X, y
+
+
+def train_regressor(
+    blocks: list[tuple[np.ndarray, np.ndarray]], l2_lambda: float = DEFAULT_LAMBDA
+) -> Regressor:
+    """Fit the date regressor on the stacked `training_rows` blocks, in order."""
+    if not blocks:
         raise EmptyDataset("no training topic has a reference timeline")
-    X = np.vstack(rows)
-    y = np.array(targets)
+    X = np.vstack([X for X, _ in blocks])
+    y = np.concatenate([y for _, y in blocks])
     weights, bias = solve_ridge(X, y, l2_lambda)
     return Regressor(weights, bias, l2_lambda)
 

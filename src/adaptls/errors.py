@@ -41,10 +41,6 @@ class EmptyReference(AdaptlsError):
     """A reference timeline is empty."""
 
 
-class BadConstraint(AdaptlsError):
-    """A selection constraint c is outside the valid range."""
-
-
 class TooFewPoints(AdaptlsError):
     """Knee detection needs at least three curve points."""
 

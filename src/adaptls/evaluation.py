@@ -64,7 +64,8 @@ def rouge_n(pred_tokens: list[str], ref_tokens: list[str], n: int) -> PRF:
     return PRF.from_pr(overlap / pred_total, overlap / ref_total)
 
 
-def _entry_tokens(timeline: Timeline) -> dict[Date, list[str]]:
+def entry_tokens(timeline: Timeline) -> dict[Date, list[str]]:
+    """Each entry's summary tokens, in date order."""
     return {
         day: tokenize(" ".join(summary)) for day, summary in timeline.entries
     }
@@ -75,26 +76,21 @@ def _gamma(a: Date, b: Date) -> float:
 
 
 def align_dates(
-    pred: Timeline, ref: Timeline
+    pred_tokens: dict[Date, list[str]], ref_tokens: dict[Date, list[str]]
 ) -> list[tuple[Date, Date, float]]:
     """m:1 alignment of generated dates onto reference dates.
 
-    Each generated date picks the reference date maximizing
-    rouge_1 F1 * gamma; ties go to the temporally nearest, then earlier,
-    reference date.
+    Takes both timelines as `entry_tokens`.  Each generated date picks the
+    reference date maximizing rouge_1 F1 * gamma; ties go to the temporally
+    nearest, then earlier, reference date.
     """
-    if not pred.entries or not ref.entries:
+    if not pred_tokens or not ref_tokens:
         raise EmptyTimeline("align_dates needs two non-empty timelines")
-    pred_tokens = _entry_tokens(pred)
-    ref_tokens = _entry_tokens(ref)
     alignment = []
-    for p_day in pred.dates():
+    for p_day, p_tokens in pred_tokens.items():
         best = None
-        for r_day in ref.dates():
-            score = (
-                rouge_n(pred_tokens[p_day], ref_tokens[r_day], 1).f1
-                * _gamma(p_day, r_day)
-            )
+        for r_day, r_tokens in ref_tokens.items():
+            score = rouge_n(p_tokens, r_tokens, 1).f1 * _gamma(p_day, r_day)
             key = (-score, abs((p_day - r_day).days), r_day)
             if best is None or key < best[0]:
                 best = (key, r_day)
@@ -102,24 +98,30 @@ def align_dates(
     return alignment
 
 
+def _align_rouge(pred: Timeline, ref: Timeline, ns) -> list[PRF]:
+    """Align-based ROUGE-n F1 for each n in `ns`, from one alignment."""
+    pred_tokens = entry_tokens(pred)
+    ref_tokens = entry_tokens(ref)
+    alignment = align_dates(pred_tokens, ref_tokens)
+    scores = []
+    for n in ns:
+        contributions: dict[Date, float] = {}
+        best_per_ref: dict[Date, float] = {}
+        for p_day, r_day, gamma in alignment:
+            value = rouge_n(pred_tokens[p_day], ref_tokens[r_day], n).f1 * gamma
+            contributions[p_day] = value
+            best_per_ref[r_day] = max(best_per_ref.get(r_day, 0.0), value)
+        precision = sum(contributions.values()) / len(pred.entries)
+        recall = sum(best_per_ref.get(day, 0.0) for day in ref.dates()) / len(
+            ref.entries
+        )
+        scores.append(PRF.from_pr(precision, recall))
+    return scores
+
+
 def align_rouge_f1(pred: Timeline, ref: Timeline, n: int) -> PRF:
     """Align-based ROUGE-n F1 between a generated and a reference timeline."""
-    alignment = align_dates(pred, ref)
-    pred_tokens = _entry_tokens(pred)
-    ref_tokens = _entry_tokens(ref)
-
-    contributions: dict[Date, float] = {}
-    best_per_ref: dict[Date, float] = {}
-    for p_day, r_day, gamma in alignment:
-        value = rouge_n(pred_tokens[p_day], ref_tokens[r_day], n).f1 * gamma
-        contributions[p_day] = value
-        best_per_ref[r_day] = max(best_per_ref.get(r_day, 0.0), value)
-
-    precision = sum(contributions.values()) / len(pred.entries)
-    recall = sum(best_per_ref.get(day, 0.0) for day in ref.dates()) / len(
-        ref.entries
-    )
-    return PRF.from_pr(precision, recall)
+    return _align_rouge(pred, ref, (n,))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -178,12 +180,13 @@ class EvalReport:
 
 
 def evaluate_pair(pred: Timeline, ref: Timeline, topic: str) -> PairResult:
+    ar1, ar2 = _align_rouge(pred, ref, (1, 2))
     return PairResult(
         topic=topic,
         reference=ref.name,
         date_f1=date_f1(pred, ref),
-        ar1=align_rouge_f1(pred, ref, 1),
-        ar2=align_rouge_f1(pred, ref, 2),
+        ar1=ar1,
+        ar2=ar2,
     )
 
 

@@ -15,8 +15,9 @@ from datetime import date as Date
 
 import numpy as np
 
-from .corpus import Topic, Vectorizer, build_vectorizer, tokenize, vectorize
+from .corpus import Topic, tokenize
 from .errors import EmptyCorpus
+from .tfidf import Vectorizer, build_vectorizer
 
 DEFAULT_THRESHOLD = 0.1
 DEFAULT_EXPANSION = 2
@@ -33,15 +34,6 @@ class SimilarityGraph:
     n: int
     weights: np.ndarray  # dense symmetric (n, n), self-loops = 1
 
-    def edges(self) -> list[tuple[int, int, float]]:
-        out = []
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                w = self.weights[i, j]
-                if w > 0.0:
-                    out.append((i, j, float(w)))
-        return out
-
 
 @dataclass(frozen=True)
 class EventCluster:
@@ -57,32 +49,30 @@ class MclResult:
     iterations: int
 
 
-def _article_vector(article, vec: Vectorizer):
-    tokens = tokenize(article.title)
-    for sentence in article.sentences[:LEAD_SENTENCES]:
-        tokens.extend(sentence.tokens)
-    return vectorize(vec, tokens)
-
-
 def build_similarity_graph(
     topic: Topic,
     threshold: float = DEFAULT_THRESHOLD,
     vec: Vectorizer | None = None,
 ) -> SimilarityGraph:
-    """Cosine graph over articles; edges below `threshold` are dropped."""
+    """Cosine graph over articles; edges below `threshold` are dropped.
+
+    An article's row is the TF-IDF of its title plus its first
+    LEAD_SENTENCES sentences.
+    """
     if not topic.articles:
         raise EmptyCorpus(f"topic {topic.name!r} has no articles")
     if vec is None:
         vec = build_vectorizer(topic)
-    vectors = [_article_vector(article, vec) for article in topic.articles]
-    n = len(vectors)
-    weights = np.zeros((n, n))
-    for i in range(n):
-        weights[i, i] = 1.0
-        for j in range(i + 1, n):
-            cos = vectors[i].cosine(vectors[j])
-            if cos >= threshold and cos > 0.0:
-                weights[i, j] = weights[j, i] = min(cos, 1.0)
+    rows = vec.transform(
+        tokenize(a.title) + [t for s in a.sentences[:LEAD_SENTENCES] for t in s.tokens]
+        for a in topic.articles
+    )
+    n = len(topic.articles)
+    weights = np.eye(n)
+    for i in range(n - 1):
+        cos = rows.dots(rows.row(i, len(vec.idf)))[i + 1 :]
+        cos = np.where((cos >= threshold) & (cos > 0.0), np.minimum(cos, 1.0), 0.0)
+        weights[i, i + 1 :] = weights[i + 1 :, i] = cos
     return SimilarityGraph(n, weights)
 
 

@@ -2,19 +2,16 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from datetime import date as Date
 
-from .corpus import (
-    Sentence,
-    SparseVector,
-    Timeline,
-    Topic,
-    Vectorizer,
-    vectorize,
-)
+import numpy as np
+
+from .corpus import Timeline, Topic
 from .errors import EmptyTimeline
 from .event_ranking import EventCluster
+from .tfidf import Rows, Vectorizer
 
 REDUNDANCY_THRESHOLD = 0.8
 
@@ -45,118 +42,98 @@ class KPolicy:
             return 1
         if self.variant == "fixed":
             return self.k
-        # expert: average daily-summary length over the reference timelines,
-        # rounded to the nearest integer, at least 1
-        lengths = [
-            len(summary)
-            for timeline in topic.reference_timelines
-            for _, summary in timeline.entries
-        ]
-        if not lengths:
-            return 1
-        mean = sum(lengths) / len(lengths)
-        return max(1, int(mean + 0.5))
+        return expert_k(topic.reference_timelines)
 
 
-def candidate_sentences(topic: Topic, day: Date) -> list[Sentence]:
-    """Sentences published on `day` plus sentences explicitly mentioning it."""
-    seen = set()
-    out = []
-    for article in sorted(topic.articles, key=lambda a: a.id):
-        for sentence in article.sentences:
-            matches = article.publish_date == day or any(
-                m.resolved == day for m in sentence.mentions
-            )
-            if matches and (sentence.article_id, sentence.index) not in seen:
-                seen.add((sentence.article_id, sentence.index))
-                out.append(sentence)
-    return out
+def expert_k(timelines: list[Timeline]) -> int:
+    """Mean daily-summary length over the timelines' entries, rounded half
+    up, at least 1 (1 when there are no entries)."""
+    lengths = [len(summary) for t in timelines for _, summary in t.entries]
+    if not lengths:
+        return 1
+    return max(1, int(sum(lengths) / len(lengths) + 0.5))
 
 
-def _centroid(vectors: list[SparseVector]) -> SparseVector:
-    total = SparseVector((), ())
-    for v in vectors:
-        total = total + v
-    return total.scaled(1.0 / len(vectors)).normalized()
-
-
-def centroid_rank(
-    cands: list[Sentence], vec: Vectorizer, k: int
-) -> list[Sentence]:
-    """Top-k sentences by cosine to the candidate centroid.
-
-    Near-duplicates of an already selected sentence (cosine >= 0.8) are
-    skipped; ties keep the incoming order.
-    """
-    if not cands:
-        return []
-    vectors = [vectorize(vec, s.tokens) for s in cands]
-    centroid = _centroid(vectors)
-    order = sorted(
-        range(len(cands)), key=lambda i: (-vectors[i].cosine(centroid), i)
-    )
-    chosen: list[int] = []
-    for i in order:
-        if len(chosen) >= k:
-            break
-        if any(
-            vectors[i].cosine(vectors[j]) >= REDUNDANCY_THRESHOLD for j in chosen
-        ):
-            continue
-        chosen.append(i)
-    return [cands[i] for i in sorted(chosen)]
-
-
-def centroid_opt(
-    cands: list[Sentence], vec: Vectorizer, k: int
-) -> list[Sentence]:
-    """Greedy set construction maximizing cosine(summary vector, centroid).
-
-    At each step the candidate whose addition gives the highest cosine of the
-    normalized summed summary vector to the centroid is added; the build
-    stops at k sentences or as soon as no candidate improves the objective.
-    """
-    if not cands:
-        return []
-    vectors = [vectorize(vec, s.tokens) for s in cands]
-    centroid = _centroid(vectors)
-    chosen: list[int] = []
-    summary = SparseVector((), ())
-    objective = float("-inf")
-    while len(chosen) < k:
-        best_i = None
-        best_value = objective
-        for i in range(len(cands)):
-            if i in chosen:
-                continue
-            value = (summary + vectors[i]).normalized().cosine(centroid)
-            if value > best_value:
-                best_value = value
-                best_i = i
-        if best_i is None:
-            break
-        chosen.append(best_i)
-        summary = summary + vectors[best_i]
-        objective = best_value
-    return [cands[i] for i in sorted(chosen)]
+def candidate_sentences(vec: Vectorizer, day: Date) -> list[int]:
+    """Rows published on `day` plus rows explicitly mentioning it."""
+    rows = set(vec.by_pub_date.get(day, ())) | set(vec.by_mention.get(day, ()))
+    return sorted(rows)
 
 
 def _cluster_candidates(
-    topic: Topic, day: Date, cluster: EventCluster, include_outside_mentions: bool
-) -> list[Sentence]:
-    allowed = cluster.article_ids
-    out = []
-    seen = set()
-    for article in sorted(topic.articles, key=lambda a: a.id):
-        for sentence in article.sentences:
-            in_cluster = article.id in allowed
-            mentions_day = any(m.resolved == day for m in sentence.mentions)
-            if in_cluster or (include_outside_mentions and mentions_day):
-                key = (sentence.article_id, sentence.index)
-                if key not in seen:
-                    seen.add(key)
-                    out.append(sentence)
-    return out
+    vec: Vectorizer, day: Date, cluster: EventCluster
+) -> list[int]:
+    """Rows of the cluster's articles plus rows elsewhere mentioning `day`."""
+    rows = set(vec.by_mention.get(day, ()))
+    for article_id in cluster.article_ids:
+        rows.update(vec.by_article.get(article_id, ()))
+    return sorted(rows)
+
+
+def _block(rows: list[int], vec: Vectorizer) -> tuple[Rows, np.ndarray]:
+    """The candidate rows and each one's cosine to their normalized mean."""
+    block = vec.rows.take(rows)
+    total = np.bincount(block.indices, weights=block.data, minlength=len(vec.idf))
+    centroid = total * (1.0 / len(rows))
+    norm = math.sqrt(centroid @ centroid)
+    if norm:
+        centroid *= 1.0 / norm
+    return block, block.dots(centroid)
+
+
+def centroid_rank(rows: list[int], vec: Vectorizer, k: int) -> list[int]:
+    """Top-k rows by cosine to the candidate centroid, in row order.
+
+    Near-duplicates of an already selected row (cosine >= 0.8) are skipped;
+    ties keep the incoming order.
+    """
+    if not rows:
+        return []
+    block, to_centroid = _block(rows, vec)
+    nearest = np.zeros(len(rows))  # highest cosine to any chosen row
+    chosen: list[int] = []
+    for i in np.argsort(-to_centroid, kind="stable"):
+        if len(chosen) >= k:
+            break
+        if nearest[i] >= REDUNDANCY_THRESHOLD:
+            continue
+        chosen.append(i)
+        nearest = np.maximum(nearest, block.dots(block.row(i, len(vec.idf))))
+    return [rows[i] for i in sorted(chosen)]
+
+
+def centroid_opt(rows: list[int], vec: Vectorizer, k: int) -> list[int]:
+    """Greedy set construction maximizing cosine(summary vector, centroid).
+
+    At each step the candidate whose addition gives the highest cosine of the
+    normalized summed summary vector to the centroid is added (ties go to
+    the earlier row); the build stops at k rows or as soon as no candidate
+    improves the objective.  Returns the chosen rows in row order.
+    """
+    if not rows:
+        return []
+    block, to_centroid = _block(rows, vec)
+    # |s + v|^2 = |s|^2 + 2 s.v + |v|^2, where |v|^2 is 1, or 0 for an empty
+    # row.  It is summed like s.v, so a copy of a lone chosen row ties exactly.
+    sq_norms = block.sums(block.data * block.data)
+    summary = np.zeros(len(vec.idf))
+    summary_sq = summary_dot = 0.0
+    objective = -math.inf
+    chosen: list[int] = []
+    while len(chosen) < k:
+        norm_sq = (summary_sq + sq_norms) + 2.0 * block.dots(summary)
+        dot = summary_dot + to_centroid
+        values = np.divide(
+            dot, np.sqrt(norm_sq), out=np.zeros(len(rows)), where=norm_sq > 0.0
+        )
+        values[chosen] = -math.inf
+        best = int(np.argmax(values))
+        if not values[best] > objective:
+            break
+        chosen.append(best)
+        summary += block.row(best, len(summary))
+        summary_sq, summary_dot, objective = norm_sq[best], dot[best], values[best]
+    return [rows[i] for i in sorted(chosen)]
 
 
 def build_timeline(
@@ -166,14 +143,13 @@ def build_timeline(
     method: str,
     vec: Vectorizer,
     name: str = "generated",
-    include_outside_mentions: bool = True,
 ) -> Timeline:
     """Summarize each selected date into a timeline entry.
 
     `method` is "rank" (centroid-rank) or "opt" (centroid-opt).  For event
-    selections the candidate pool is the cluster's own sentences, plus
-    sentences elsewhere that mention the event date unless
-    `include_outside_mentions` is off.  Dates with no candidates are dropped.
+    selections the candidate pool is the cluster's own sentences plus
+    sentences elsewhere that mention the event date.  Dates with no
+    candidates are dropped.
     """
     if method not in ("rank", "opt"):
         raise ValueError(f"unknown summarizer method {method!r}")
@@ -182,14 +158,12 @@ def build_timeline(
     entries = []
     for day, cluster in selected:
         if cluster is None:
-            cands = candidate_sentences(topic, day)
+            cands = candidate_sentences(vec, day)
         else:
-            cands = _cluster_candidates(
-                topic, day, cluster, include_outside_mentions
-            )
+            cands = _cluster_candidates(vec, day, cluster)
         picked = summarize(cands, vec, k)
         if picked:
-            entries.append((day, [s.raw for s in picked]))
+            entries.append((day, [vec.sentences[row].raw for row in picked]))
     if not entries:
         raise EmptyTimeline(
             f"no selected date of topic {topic.name!r} has candidate sentences"

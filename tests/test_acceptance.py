@@ -22,7 +22,6 @@ from adaptls.adaptive_selection import (
     detect_knee,
     normalize_scores,
     sc_curve,
-    selection_confidence,
 )
 from adaptls.cli import main
 from adaptls.corpus import Timeline, save_topic
@@ -67,8 +66,8 @@ def test_01_sc_monotonicity(capsys):
 
 
 def test_02_sc_point_values(capsys):
-    got_a = selection_confidence([1.0, 0.5], 2, 0.01)  # mean 0.75 + alpha
-    got_b = selection_confidence([1.0, 0.5, 0.3], 3, 0.01)  # mean 0.6 + alpha
+    got_a = sc_curve([1.0, 0.5], 2, 0.01).points[-1][1]  # mean 0.75 + alpha
+    got_b = sc_curve([1.0, 0.5, 0.3], 3, 0.01).points[-1][1]  # mean 0.6 + alpha
     passed = (
         abs(got_a - (-math.log(0.76))) <= 1e-12
         and abs(got_b - (-math.log(0.61))) <= 1e-12

@@ -9,9 +9,19 @@ from adaptls.adaptive_selection import (
     detect_knee,
     normalize_scores,
     sc_curve,
-    selection_confidence,
 )
-from adaptls.errors import BadConstraint, EmptyInput, TooFewPoints
+from adaptls.errors import EmptyInput, TooFewPoints
+
+
+def selection_confidence(sorted_scores, c, alpha):
+    """Oracle for one sc_curve point: -ln(mean of the top-c scores + alpha)."""
+    return -math.log(sum(sorted_scores[:c]) / c + alpha)
+
+
+def sc_at(scores, c, alpha=0.01):
+    """The sc value sc_curve gives at c."""
+    points = dict(sc_curve(scores, c, alpha).points)
+    return points[c]
 
 
 def brute_force_difference(points):
@@ -59,23 +69,19 @@ class TestNormalizeScores:
 
 
 class TestSelectionConfidence:
+    """Hand values of the sc_curve points (the selection confidence)."""
+
     def test_hand_value(self):
         # top-2 mean of [1.0, 0.5] is 0.75; sc = -ln(0.76)
-        got = selection_confidence([1.0, 0.5, 0.0], 2, 0.01)
+        got = sc_at([1.0, 0.5, 0.0], 2)
         assert got == pytest.approx(-math.log(0.76), abs=1e-12)
 
     def test_single_top_score(self):
-        assert selection_confidence([1.0], 1, 0.01) == pytest.approx(-math.log(1.01))
+        assert sc_at([1.0], 1) == pytest.approx(-math.log(1.01))
 
     def test_all_zero_scores_hit_alpha_floor(self):
-        got = selection_confidence([0.0, 0.0], 2, 0.01)
+        got = sc_at([0.0, 0.0], 2)
         assert got == pytest.approx(-math.log(0.01))
-
-    def test_out_of_range_c(self):
-        with pytest.raises(BadConstraint):
-            selection_confidence([1.0], 2, 0.01)
-        with pytest.raises(BadConstraint):
-            selection_confidence([1.0], 0, 0.01)
 
     @given(
         st.lists(st.floats(0.0, 1.0), min_size=2, max_size=40).map(
@@ -83,9 +89,7 @@ class TestSelectionConfidence:
         )
     )
     def test_nondecreasing_in_c_for_descending_scores(self, scores):
-        values = [
-            selection_confidence(scores, c, 0.01) for c in range(1, len(scores) + 1)
-        ]
+        values = [sc for _, sc in sc_curve(scores, len(scores), 0.01).points]
         for a, b in zip(values, values[1:]):
             assert b >= a - 1e-12
 

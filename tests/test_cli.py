@@ -51,6 +51,16 @@ class TestTrain:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "InsufficientTopics"
 
+    def test_dataset_without_reference_timelines_rejected(self, tmp_path, capsys):
+        from adaptls.corpus import save_topic
+
+        for topic in planted_topics(n_topics=2):
+            topic.reference_timelines = []
+            save_topic(topic, tmp_path / "ds" / topic.name)
+        assert main(["train", str(tmp_path / "ds"), "--out", str(tmp_path / "out")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "EmptyDataset"
+
 
 def _run(planted_dir, trained_dir, out_dir, *extra):
     argv = [
@@ -161,6 +171,28 @@ class TestRunBase:
             assert entry["knee"] is None
             timeline = json.loads((out / entry["file"]).read_text())
             assert len(timeline["entries"]) == 5
+
+    def test_k_is_each_reference_own_rounded_mean(self, tmp_path):
+        from adaptls.corpus import Timeline, save_topic
+
+        topic = planted_topics(n_topics=1)[0]
+        days = topic.reference_timelines[0].dates()[:4]
+        # mean daily lengths 2.5, 2.25 and 2.75; the topic-wide mean is 2.5
+        sizes = {"r1": (2, 3, 2, 3), "r2": (2, 2, 2, 3), "r3": (3, 3, 2, 3)}
+        topic.reference_timelines = [
+            Timeline(name, [(day, ["Line."] * n) for day, n in zip(days, counts)])
+            for name, counts in sizes.items()
+        ]
+        save_topic(topic, tmp_path / "ds" / topic.name)
+        out = tmp_path / "out"
+        argv = ["run", "--dataset-dir", str(tmp_path / "ds"), "--output-dir", str(out)]
+        assert main(argv + ["--method", "clust", "--constraint", "base"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert [(e["reference"], e["k"]) for e in manifest["outputs"]] == [
+            ("r1", 3),
+            ("r2", 2),
+            ("r3", 3),
+        ]
 
     def test_baseline_method_requires_base_constraint(self, planted_dir, tmp_path, capsys):
         argv = [

@@ -1,22 +1,23 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from adaptls.corpus import (
     Sentence,
     Topic,
-    build_vectorizer,
     filter_by_queries,
     load_topic,
     save_topic,
     sentence_split,
     tokenize,
-    vectorize,
 )
 from adaptls.errors import EmptyCorpus, NotFound, ParseError
 from adaptls.temporal import annotate_topic
+from adaptls.tfidf import build_vectorizer
+import tfidf_oracle
 
 
 class TestSentenceSplit:
@@ -119,15 +120,18 @@ class TestVectorizer:
     def test_oov_tokens_give_zero_vector(self):
         topic = _topic_from_texts(["a b."])
         vec = build_vectorizer(topic)
-        assert vectorize(vec, ["zzz", "qqq"]).is_zero()
+        rows = vec.transform([["zzz", "qqq"]])
+        assert len(rows) == 1 and rows.indptr.tolist() == [0, 0]
+        assert rows.dots(np.ones(len(vec.idf))).tolist() == [0.0]
 
     def test_identical_token_lists_cosine_one(self):
         topic = _topic_from_texts(["a b c."])
         vec = build_vectorizer(topic)
-        v1 = vectorize(vec, ["a", "b"])
-        v2 = vectorize(vec, ["a", "b"])
-        assert v1 == v2
-        assert v1.cosine(v2) == pytest.approx(1.0, abs=1e-12)
+        rows = vec.transform([["a", "b"], ["b", "a"]])
+        assert rows.data[:2].tolist() == rows.data[2:].tolist()
+        assert rows.dots(rows.row(0, len(vec.idf))).tolist() == pytest.approx(
+            [1.0, 1.0], abs=1e-12
+        )
 
     def test_weights_match_hand_tfidf(self):
         topic = _topic_from_texts(["a b.", "a c."])
@@ -136,9 +140,39 @@ class TestVectorizer:
         idf_b = vec.idf[vec.vocabulary["b"]]
         raw = {vec.vocabulary["a"]: 2 * idf_a, vec.vocabulary["b"]: 1 * idf_b}
         norm = math.sqrt(sum(w * w for w in raw.values()))
-        got = vectorize(vec, ["a", "a", "b"])
+        got = vec.transform([["a", "a", "b"]])
         expected = {i: w / norm for i, w in raw.items()}
-        assert dict(zip(got.indices, got.weights)) == pytest.approx(expected)
+        assert dict(zip(got.indices.tolist(), got.data.tolist())) == pytest.approx(expected)
+
+    def test_sentence_rows_match_reference_vectors(self, mini_dataset):
+        for topic in mini_dataset:
+            vec = build_vectorizer(topic)
+            assert [(s.article_id, s.index) for s in vec.sentences] == [
+                (s.article_id, s.index)
+                for a in sorted(topic.articles, key=lambda a: a.id)
+                for s in a.sentences
+            ]
+            for r, sentence in enumerate(vec.sentences):
+                expected = tfidf_oracle.vectorize(vec, sentence.tokens)
+                span = slice(vec.rows.indptr[r], vec.rows.indptr[r + 1])
+                assert tuple(vec.rows.indices[span].tolist()) == expected.indices
+                assert tuple(vec.rows.data[span].tolist()) == expected.weights
+
+    def test_rows_listed_by_date_and_article(self, mini_dataset):
+        for topic in mini_dataset:
+            vec = build_vectorizer(topic)
+            for day, rows in vec.by_pub_date.items():
+                assert rows == sorted(rows)
+                assert {vec.sentences[r].raw for r in rows} == {
+                    s.raw for a in topic.articles if a.publish_date == day for s in a.sentences
+                }
+            for day, rows in vec.by_mention.items():
+                assert rows == [
+                    r for r, s in enumerate(vec.sentences)
+                    if any(m.resolved == day for m in s.mentions)
+                ]
+            for article in topic.articles:
+                assert [vec.sentences[r] for r in vec.by_article[article.id]] == article.sentences
 
     @given(
         st.lists(
@@ -150,10 +184,10 @@ class TestVectorizer:
     def test_cosine_bounded(self, token_lists):
         topic = _topic_from_texts([" ".join(t) + "." for t in token_lists])
         vec = build_vectorizer(topic)
-        vectors = [vectorize(vec, t) for t in token_lists]
-        for a in vectors:
-            for b in vectors:
-                assert -1e-12 <= a.cosine(b) <= 1.0 + 1e-12
+        rows = vec.transform(token_lists)
+        for i in range(len(rows)):
+            for cos in rows.dots(rows.row(i, len(vec.idf))):
+                assert -1e-12 <= cos <= 1.0 + 1e-12
 
 
 class TestLoadTopic:

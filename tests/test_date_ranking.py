@@ -7,11 +7,11 @@ import pytest
 from adaptls.corpus import Article, Sentence, Timeline, Topic, tokenize
 from adaptls.date_ranking import (
     Regressor,
-    date_features,
     feature_matrix,
     score_dates,
     solve_ridge,
     train_regressor,
+    training_rows,
 )
 from adaptls.errors import EmptyDataset
 from adaptls.temporal import DateCandidate, annotate_topic, candidate_dates
@@ -26,20 +26,34 @@ def _topic(article_specs, timelines=()):
     return annotate_topic(Topic("t", articles, [], list(timelines)))
 
 
+# feature_matrix columns
+(
+    MENTION_COUNT,
+    PUB_ARTICLE_COUNT,
+    PUB_SENTENCE_COUNT,
+    MENTIONS_1D,
+    MENTIONS_3D,
+    MENTIONS_7D,
+    MENTION_SHARE,
+    POS_FIRST,
+    POS_LAST,
+) = range(9)
+
+
 class TestDateFeatures:
     def test_single_plain_article(self):
         topic = _topic([(date(2020, 1, 1), ["Nothing dated."])])
-        cand = candidate_dates(topic)[0]
-        feats = date_features(cand, topic)
-        assert feats.mention_count == 0.0
-        assert feats.pub_article_count == pytest.approx(math.log(2))
-        assert feats.mention_share == 0.0
+        _, X = feature_matrix(topic)
+        assert X.shape == (1, 9)
+        assert X[0, MENTION_COUNT] == 0.0
+        assert X[0, PUB_ARTICLE_COUNT] == pytest.approx(math.log(2))
+        assert X[0, MENTION_SHARE] == 0.0
 
     def test_single_date_topic_has_zero_positions(self):
         topic = _topic([(date(2020, 1, 1), ["Nothing dated."])])
-        feats = date_features(candidate_dates(topic)[0], topic)
-        assert feats.pos_first == 0.0
-        assert feats.pos_last == 0.0
+        _, X = feature_matrix(topic)
+        assert X[0, POS_FIRST] == 0.0
+        assert X[0, POS_LAST] == 0.0
 
     def test_matches_brute_force_recount(self, mini_dataset):
         for topic in mini_dataset:
@@ -51,12 +65,20 @@ class TestDateFeatures:
                         mention_counts[m.resolved] = mention_counts.get(m.resolved, 0) + 1
             total = sum(mention_counts.values())
             duration = topic.duration_days
-            for cand in cands:
-                feats = date_features(cand, topic)
-                assert feats.mention_count == pytest.approx(
+            got_cands, X = feature_matrix(topic)
+            assert got_cands == cands
+            for cand, feats in zip(cands, X):
+                assert feats[MENTION_COUNT] == pytest.approx(
                     math.log1p(cand.mention_count)
                 )
-                for days, got in ((1, feats.mentions_1d), (3, feats.mentions_3d), (7, feats.mentions_7d)):
+                assert feats[PUB_SENTENCE_COUNT] == pytest.approx(
+                    math.log1p(cand.pub_sentence_count)
+                )
+                for days, got in (
+                    (1, feats[MENTIONS_1D]),
+                    (3, feats[MENTIONS_3D]),
+                    (7, feats[MENTIONS_7D]),
+                ):
                     expected = sum(
                         count
                         for day, count in mention_counts.items()
@@ -64,10 +86,13 @@ class TestDateFeatures:
                     )
                     assert got == pytest.approx(math.log1p(expected))
                 share = cand.mention_count / total if total else 0.0
-                assert feats.mention_share == pytest.approx(share)
+                assert feats[MENTION_SHARE] == pytest.approx(share)
                 if duration > 0:
-                    assert feats.pos_first == pytest.approx(
+                    assert feats[POS_FIRST] == pytest.approx(
                         min(1.0, max(0.0, (cand.date - topic.min_pub).days / duration))
+                    )
+                    assert feats[POS_LAST] == pytest.approx(
+                        min(1.0, max(0.0, (topic.max_pub - cand.date).days / duration))
                     )
 
 
@@ -120,22 +145,34 @@ def _training_topics():
     return topics
 
 
+def _blocks(topics):
+    return [training_rows(topic) for topic in topics]
+
+
 class TestTrainAndScore:
     def test_requires_reference_timelines(self):
-        topic = _topic([(date(2020, 1, 1), ["Plain."])])
+        # `adaptls train` builds no block for a topic without references
         with pytest.raises(EmptyDataset):
-            train_regressor([topic], 1.0)
+            train_regressor([], 1.0)
+
+    def test_targets_mark_reference_dates(self):
+        topic = _training_topics()[0]
+        X, y = training_rows(topic)
+        cands, expected_X = feature_matrix(topic)
+        assert np.array_equal(X, expected_X)
+        ref_dates = set(topic.reference_timelines[0].dates())
+        assert y.tolist() == [1.0 if c.date in ref_dates else 0.0 for c in cands]
 
     def test_trained_model_ranks_key_dates_first(self):
         topics = _training_topics()
-        regressor = train_regressor(topics, 1.0)
+        regressor = train_regressor(_blocks(topics), 1.0)
         scored = score_dates(regressor, topics[0])
         top_dates = {cand.date for cand, _ in scored[:2]}
         assert top_dates == set(topics[0].reference_timelines[0].dates())
 
     def test_weights_reproduce_closed_form(self):
         topics = _training_topics()
-        regressor = train_regressor(topics, 0.5)
+        regressor = train_regressor(_blocks(topics), 0.5)
         rows = []
         targets = []
         for topic in topics:
@@ -183,7 +220,7 @@ class TestTrainAndScore:
         assert [c.date for c, _ in base] == [c.date for c, _ in shifted]
 
     def test_save_load_round_trip(self, tmp_path):
-        regressor = train_regressor(_training_topics(), 1.0)
+        regressor = train_regressor(_blocks(_training_topics()), 1.0)
         path = tmp_path / "reg.json"
         regressor.save(path)
         loaded = Regressor.load(path)

@@ -14,6 +14,7 @@ from adaptls.evaluation import (
     align_rouge_f1,
     dataset_stats,
     date_f1,
+    entry_tokens,
     evaluate_pair,
     rouge_n,
 )
@@ -21,6 +22,10 @@ from adaptls.evaluation import (
 
 def _tl(entries, name="tl"):
     return Timeline(name, entries)
+
+
+def _align(pred, ref):
+    return align_dates(entry_tokens(pred), entry_tokens(ref))
 
 
 class TestDateF1:
@@ -125,7 +130,7 @@ class TestAlignDates:
                 (date(2020, 1, 9), ["Delta epsilon zeta."]),
             ]
         )
-        got = align_dates(tl, tl)
+        got = _align(tl, tl)
         assert got == [
             (date(2020, 1, 1), date(2020, 1, 1), 1.0),
             (date(2020, 1, 9), date(2020, 1, 9), 1.0),
@@ -134,7 +139,7 @@ class TestAlignDates:
     def test_one_day_shift_gamma_half(self):
         pred = _tl([(date(2020, 1, 2), ["Alpha beta gamma."])])
         ref = _tl([(date(2020, 1, 1), ["Alpha beta gamma."])])
-        got = align_dates(pred, ref)
+        got = _align(pred, ref)
         assert got == [(date(2020, 1, 2), date(2020, 1, 1), 0.5)]
 
     def test_many_to_one(self):
@@ -145,7 +150,7 @@ class TestAlignDates:
             ]
         )
         ref = _tl([(date(2020, 1, 1), ["Alpha beta."])])
-        got = align_dates(pred, ref)
+        got = _align(pred, ref)
         assert [r for _, r, _ in got] == [date(2020, 1, 1)] * 2
 
     def test_tie_prefers_temporally_nearest(self):
@@ -157,7 +162,7 @@ class TestAlignDates:
                 (date(2020, 1, 5), ["Same words here."]),
             ]
         )
-        got = align_dates(pred, ref)
+        got = _align(pred, ref)
         assert got[0][1] == date(2020, 1, 5)
 
     def test_equidistant_tie_prefers_earlier(self):
@@ -168,7 +173,7 @@ class TestAlignDates:
                 (date(2020, 1, 4), ["Same words here."]),
             ]
         )
-        got = align_dates(pred, ref)
+        got = _align(pred, ref)
         assert got[0][1] == date(2020, 1, 2)
 
     def test_content_beats_proximity(self):
@@ -179,14 +184,14 @@ class TestAlignDates:
                 (date(2020, 1, 6), ["Unique treaty clause signed."]),
             ]
         )
-        got = align_dates(pred, ref)
+        got = _align(pred, ref)
         # perfect rouge at gamma 1/5 = 0.2 beats zero rouge at gamma 1
         assert got[0][1] == date(2020, 1, 6)
 
     def test_empty_raises(self):
         tl = _tl([(date(2020, 1, 1), ["A."])])
         with pytest.raises(EmptyTimeline):
-            align_dates(tl, Timeline("ref", []))
+            _align(tl, Timeline("ref", []))
 
 
 class TestAlignRougeF1:
@@ -257,6 +262,38 @@ class TestAlignRougeF1:
         assert pair.reference == "ref0"
         assert pair.date_f1.f1 == 1.0
         assert pair.ar1.f1 == pytest.approx(1.0)
+
+    def test_evaluate_pair_aligns_and_tokenizes_once(self, monkeypatch):
+        import adaptls.evaluation as evaluation
+
+        calls = Counter()
+
+        def counting(name, fn):
+            def wrapped(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapped
+
+        monkeypatch.setattr(evaluation, "align_dates", counting("align", evaluation.align_dates))
+        monkeypatch.setattr(evaluation, "tokenize", counting("tokenize", evaluation.tokenize))
+        pred = _tl(
+            [
+                (date(2020, 1, 1), ["Alpha beta gamma."]),
+                (date(2020, 1, 3), ["Beta gamma delta.", "Delta alpha."]),
+            ]
+        )
+        ref = _tl(
+            [
+                (date(2020, 1, 2), ["Alpha beta gamma delta."]),
+                (date(2020, 1, 3), ["Gamma delta."]),
+                (date(2020, 1, 7), ["Epsilon."]),
+            ]
+        )
+        pair = evaluate_pair(pred, ref, "t")
+        assert calls == {"align": 1, "tokenize": 5}
+        assert pair.ar1 == align_rouge_f1(pred, ref, 1)
+        assert pair.ar2 == align_rouge_f1(pred, ref, 2)
 
 
 class TestEvalReport:

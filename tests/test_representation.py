@@ -1,0 +1,97 @@
+"""The shared CSR representation against the reference sparse-vector loops.
+
+Random small topics include sentences without tokens (empty rows) and exact
+duplicate sentences (tied rows), so the zero-row and tie paths of the
+summarizers and of the article graph are exercised.
+"""
+
+from datetime import date, timedelta
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from adaptls.corpus import Article, Sentence, Topic
+from adaptls.event_ranking import EventCluster, build_similarity_graph
+from adaptls.summarizer import (
+    _cluster_candidates,
+    candidate_sentences,
+    centroid_opt,
+    centroid_rank,
+)
+from adaptls.temporal import annotate_topic
+from adaptls.tfidf import build_vectorizer
+import tfidf_oracle
+
+START = date(2021, 5, 1)
+TOKENS = st.lists(st.sampled_from("abcdefgh"), max_size=5)
+
+
+@st.composite
+def topics(draw):
+    # Sentences come from a small pool, so exact duplicates are common.
+    pool = draw(st.lists(TOKENS, min_size=1, max_size=6))
+    n_articles = draw(st.integers(1, 5))
+    ids = draw(st.permutations(range(n_articles)))
+    articles = []
+    for i in range(n_articles):
+        aid = f"a{ids[i]}"
+        day = START + timedelta(days=draw(st.integers(0, 2)))
+        sentences = []
+        for j in range(draw(st.integers(1, 7))):
+            tokens = list(draw(st.sampled_from(pool)))
+            mention = draw(st.none() | st.integers(0, 2))
+            raw = " ".join(tokens)
+            if mention is not None:
+                raw += f" on {(START + timedelta(days=mention)).isoformat()}"
+            sentences.append(Sentence(aid, j, raw, tokens))
+        articles.append(Article(aid, day, draw(st.sampled_from(["", "a b", "h"])), sentences))
+    return annotate_topic(Topic("t", articles))
+
+
+def _keys(sentences):
+    return [(s.article_id, s.index) for s in sentences]
+
+
+def _check_summarizers(rows, vec):
+    vectors = [tfidf_oracle.vectorize(vec, vec.sentences[r].tokens) for r in rows]
+    for k in (1, 2, 3):
+        for summarize, reference in (
+            (centroid_rank, tfidf_oracle.rank),
+            (centroid_opt, tfidf_oracle.opt),
+        ):
+            picked = [rows.index(r) for r in summarize(rows, vec, k)]
+            assert picked == reference(vectors, k, prefer=picked)
+
+
+@settings(max_examples=200, deadline=None)
+@given(topics())
+def test_candidates_and_summaries_match_reference(topic):
+    vec = build_vectorizer(topic)
+    for offset in range(3):
+        day = START + timedelta(days=offset)
+        rows = candidate_sentences(vec, day)
+        expected = tfidf_oracle.candidate_sentences(topic, day)
+        assert _keys(vec.sentences[r] for r in rows) == _keys(expected)
+        _check_summarizers(rows, vec)
+
+        members = frozenset(a.id for a in topic.articles[:2])
+        rows = _cluster_candidates(vec, day, EventCluster(members, day, 0))
+        expected = tfidf_oracle.cluster_candidates(topic, day, members)
+        assert _keys(vec.sentences[r] for r in rows) == _keys(expected)
+        _check_summarizers(rows, vec)
+
+
+@settings(max_examples=200, deadline=None)
+@given(topics(), st.sampled_from([0.0, 0.1, 0.5]))
+def test_graph_weights_match_reference(topic, threshold):
+    vec = build_vectorizer(topic)
+    graph = build_similarity_graph(topic, threshold, vec)
+    cosines = np.array(tfidf_oracle.graph_weights(topic, vec, 0.0))
+    expected = np.where(cosines >= threshold, cosines, 0.0)
+    assert graph.weights.shape == expected.shape
+    close = np.abs(graph.weights - expected) <= 1e-12
+    # a cosine within TIE of the threshold may fall on either side
+    at_threshold = (np.abs(cosines - threshold) <= tfidf_oracle.TIE) & (
+        (graph.weights == 0.0) | (np.abs(graph.weights - cosines) <= 1e-12)
+    )
+    assert (close | at_threshold).all()

@@ -3,15 +3,7 @@ from datetime import date
 
 import pytest
 
-from adaptls.corpus import (
-    Article,
-    Sentence,
-    Timeline,
-    Topic,
-    build_vectorizer,
-    tokenize,
-    vectorize,
-)
+from adaptls.corpus import Article, Sentence, Timeline, Topic, tokenize
 from adaptls.errors import EmptyTimeline
 from adaptls.event_ranking import EventCluster
 from adaptls.summarizer import (
@@ -20,8 +12,11 @@ from adaptls.summarizer import (
     candidate_sentences,
     centroid_opt,
     centroid_rank,
+    expert_k,
 )
 from adaptls.temporal import annotate_topic
+from adaptls.tfidf import build_vectorizer
+import tfidf_oracle
 
 
 def _topic(article_specs, timelines=()):
@@ -59,10 +54,27 @@ class TestKPolicy:
     def test_expert_without_references_defaults_to_one(self):
         assert KPolicy.expert().resolve(_topic([(date(2020, 1, 1), ["A."])])) == 1
 
+    def test_expert_k_per_timeline_and_pooled(self):
+        def timeline(sizes):
+            return Timeline(
+                "ref", [(date(2020, 1, 1 + i), ["S."] * n) for i, n in enumerate(sizes)]
+            )
+
+        short, long = timeline([2, 2, 2, 3]), timeline([3, 3, 2, 3])
+        assert expert_k([short]) == 2  # 2.25
+        assert expert_k([long]) == 3  # 2.75
+        assert expert_k([short, long]) == 3  # 2.5 rounds half up
+        assert expert_k([]) == 1
+
     def test_expert_never_below_one(self):
         timeline = Timeline("ref", [(date(2020, 1, 1), ["Only."])])
         topic = _topic([(date(2020, 1, 1), ["A."])], [timeline])
         assert KPolicy.expert().resolve(topic) == 1
+
+
+def _candidate_raws(topic, day):
+    vec = build_vectorizer(topic)
+    return [vec.sentences[row].raw for row in candidate_sentences(vec, day)]
 
 
 class TestCandidateSentences:
@@ -73,8 +85,10 @@ class TestCandidateSentences:
                 (date(2020, 1, 2), ["Second day news."]),
             ]
         )
-        cands = candidate_sentences(topic, date(2020, 1, 1))
-        assert [s.raw for s in cands] == ["First day news.", "More first day."]
+        assert _candidate_raws(topic, date(2020, 1, 1)) == [
+            "First day news.",
+            "More first day.",
+        ]
 
     def test_mention_match_from_other_day(self):
         topic = _topic(
@@ -83,29 +97,30 @@ class TestCandidateSentences:
                 (date(2020, 1, 1), ["Original report."]),
             ]
         )
-        cands = candidate_sentences(topic, date(2020, 1, 1))
-        assert {s.raw for s in cands} == {
+        assert set(_candidate_raws(topic, date(2020, 1, 1))) == {
             "Recalling events of 2020-01-01 today.",
             "Original report.",
         }
 
     def test_no_duplicates_when_both_match(self):
         topic = _topic([(date(2020, 1, 1), ["Happened on 2020-01-01 here."])])
-        cands = candidate_sentences(topic, date(2020, 1, 1))
-        assert len(cands) == 1
+        assert len(_candidate_raws(topic, date(2020, 1, 1))) == 1
 
     def test_unrelated_day_empty(self):
         topic = _topic([(date(2020, 1, 1), ["Nothing special."])])
-        assert candidate_sentences(topic, date(2021, 6, 6)) == []
+        assert _candidate_raws(topic, date(2021, 6, 6)) == []
 
 
 def _cosine_to_centroid(cands, vec):
-    vectors = [vectorize(vec, s.tokens) for s in cands]
-    total = vectors[0]
-    for v in vectors[1:]:
-        total = total + v
-    centroid = total.scaled(1.0 / len(vectors)).normalized()
-    return vectors, centroid
+    vectors = [tfidf_oracle.vectorize(vec, s.tokens) for s in cands]
+    return vectors, tfidf_oracle.centroid(vectors)
+
+
+def _one_article(raws):
+    """A one-article topic, its representation and the article's rows."""
+    topic = _topic([(date(2020, 1, 1), raws)])
+    vec = build_vectorizer(topic)
+    return topic, vec, vec.by_article["a0"]
 
 
 class TestCentroidRank:
@@ -114,71 +129,47 @@ class TestCentroidRank:
         assert centroid_rank([], build_vectorizer(topic), 2) == []
 
     def test_selects_highest_cosine_oracle(self):
-        topic = _topic(
+        _, vec, rows = _one_article(
             [
-                (
-                    date(2020, 1, 1),
-                    [
-                        "Storm damage reported in the port city.",
-                        "Storm damage closed the port area roads.",
-                        "A chess club met quietly indoors.",
-                        "Storm reports kept arriving from the port.",
-                    ],
-                )
+                "Storm damage reported in the port city.",
+                "Storm damage closed the port area roads.",
+                "A chess club met quietly indoors.",
+                "Storm reports kept arriving from the port.",
             ]
         )
-        vec = build_vectorizer(topic)
-        cands = topic.articles[0].sentences
+        cands = [vec.sentences[r] for r in rows]
         vectors, centroid = _cosine_to_centroid(cands, vec)
         best = max(range(len(cands)), key=lambda i: vectors[i].cosine(centroid))
-        picked = centroid_rank(cands, vec, 1)
-        assert picked == [cands[best]]
+        assert centroid_rank(rows, vec, 1) == [rows[best]]
 
     def test_redundancy_filter_skips_duplicates(self):
-        topic = _topic(
+        _, vec, rows = _one_article(
             [
-                (
-                    date(2020, 1, 1),
-                    [
-                        "Flood waters rose fast in town.",
-                        "Flood waters rose fast in town.",
-                        "Rescue crews arrived by boat.",
-                    ],
-                )
+                "Flood waters rose fast in town.",
+                "Flood waters rose fast in town.",
+                "Rescue crews arrived by boat.",
             ]
         )
-        vec = build_vectorizer(topic)
-        cands = topic.articles[0].sentences
-        picked = centroid_rank(cands, vec, 2)
-        raws = [s.raw for s in picked]
+        picked = centroid_rank(rows, vec, 2)
+        raws = [vec.sentences[r].raw for r in picked]
         assert len(picked) == 2
         assert "Rescue crews arrived by boat." in raws
         assert raws.count("Flood waters rose fast in town.") == 1
 
     def test_k_larger_than_pool(self):
-        topic = _topic([(date(2020, 1, 1), ["One thing.", "Other matter."])])
-        vec = build_vectorizer(topic)
-        cands = topic.articles[0].sentences
-        assert len(centroid_rank(cands, vec, 10)) == 2
+        _, vec, rows = _one_article(["One thing.", "Other matter."])
+        assert len(centroid_rank(rows, vec, 10)) == 2
 
     def test_output_preserves_document_order(self):
-        topic = _topic(
+        _, vec, rows = _one_article(
             [
-                (
-                    date(2020, 1, 1),
-                    [
-                        "Alpha beta gamma delta.",
-                        "Beta gamma delta epsilon.",
-                        "Gamma delta epsilon zeta.",
-                    ],
-                )
+                "Alpha beta gamma delta.",
+                "Beta gamma delta epsilon.",
+                "Gamma delta epsilon zeta.",
             ]
         )
-        vec = build_vectorizer(topic)
-        cands = topic.articles[0].sentences
-        picked = centroid_rank(cands, vec, 2)
-        indices = [s.index for s in picked]
-        assert indices == sorted(indices)
+        picked = centroid_rank(rows, vec, 2)
+        assert picked == sorted(picked)
 
 
 class TestCentroidOpt:
@@ -187,77 +178,41 @@ class TestCentroidOpt:
         assert centroid_opt([], build_vectorizer(topic), 2) == []
 
     def test_first_pick_matches_exhaustive_oracle(self):
-        topic = _topic(
+        _, vec, rows = _one_article(
             [
-                (
-                    date(2020, 1, 1),
-                    [
-                        "Trade talks opened in the capital.",
-                        "Trade talks continued for hours.",
-                        "A ferry schedule changed slightly.",
-                        "Officials praised the trade talks.",
-                    ],
-                )
+                "Trade talks opened in the capital.",
+                "Trade talks continued for hours.",
+                "A ferry schedule changed slightly.",
+                "Officials praised the trade talks.",
             ]
         )
-        vec = build_vectorizer(topic)
-        cands = topic.articles[0].sentences
+        cands = [vec.sentences[r] for r in rows]
         vectors, centroid = _cosine_to_centroid(cands, vec)
         best = max(
             range(len(cands)),
             key=lambda i: vectors[i].normalized().cosine(centroid),
         )
-        assert centroid_opt(cands, vec, 1) == [cands[best]]
+        assert centroid_opt(rows, vec, 1) == [rows[best]]
 
     def test_greedy_trace_matches_step_oracle(self):
-        topic = _topic(
+        _, vec, rows = _one_article(
             [
-                (
-                    date(2020, 1, 1),
-                    [
-                        "Harvest season started early this year.",
-                        "Farmers reported a strong harvest outlook.",
-                        "Rail traffic paused for repairs.",
-                        "The harvest festival drew large crowds.",
-                        "Repairs on the rail line continued.",
-                    ],
-                )
+                "Harvest season started early this year.",
+                "Farmers reported a strong harvest outlook.",
+                "Rail traffic paused for repairs.",
+                "The harvest festival drew large crowds.",
+                "Repairs on the rail line continued.",
             ]
         )
-        vec = build_vectorizer(topic)
-        cands = topic.articles[0].sentences
-        vectors, centroid = _cosine_to_centroid(cands, vec)
-
-        # independent greedy re-run
-        from adaptls.corpus import SparseVector
-
-        chosen = []
-        summary = SparseVector((), ())
-        objective = float("-inf")
-        for _ in range(3):
-            scored = [
-                (i, (summary + vectors[i]).normalized().cosine(centroid))
-                for i in range(len(cands))
-                if i not in chosen
-            ]
-            i, value = max(scored, key=lambda p: (p[1], -p[0]))
-            if value <= objective:
-                break
-            chosen.append(i)
-            summary = summary + vectors[i]
-            objective = value
-
-        picked = centroid_opt(cands, vec, 3)
-        assert [s.index for s in picked] == sorted(chosen)
+        cands = [vec.sentences[r] for r in rows]
+        vectors, _ = _cosine_to_centroid(cands, vec)
+        chosen = tfidf_oracle.opt(vectors, 3)
+        assert centroid_opt(rows, vec, 3) == [rows[i] for i in chosen]
 
     def test_stops_when_no_improvement(self):
         # identical sentences: adding a second copy cannot raise the cosine
-        topic = _topic(
-            [(date(2020, 1, 1), ["Same words here.", "Same words here."])]
-        )
-        vec = build_vectorizer(topic)
-        cands = topic.articles[0].sentences
-        assert len(centroid_opt(cands, vec, 2)) == 1
+        _, vec, rows = _one_article(["Same words here.", "Same words here."])
+        assert len(centroid_opt(rows, vec, 2)) == 1
 
 
 class TestBuildTimeline:
@@ -308,7 +263,6 @@ class TestBuildTimeline:
             KPolicy.fixed(5),
             "rank",
             vec,
-            include_outside_mentions=False,
         )
         assert timeline.entries[0][1] == ["Cluster story one."]
 
