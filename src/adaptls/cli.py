@@ -14,16 +14,16 @@ import json
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from datetime import date as Date
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import adaptive_selection, date_ranking, event_ranking, evaluation
-from .corpus import Timeline, Topic, filter_by_queries, load_dataset
+from .corpus import Timeline, Topic, filter_by_queries, load_dataset, timeline_from_obj
 from .errors import (
     AdaptlsError,
     InsufficientTopics,
     MissingPrediction,
+    ParseError,
     UnknownTopic,
 )
 from .summarizer import KPolicy, build_timeline, expert_k
@@ -101,7 +101,6 @@ def _prepare(topic: Topic, config: RunConfig) -> Topic:
     annotate_topic(topic)
     if config.use_query_filter:
         topic = filter_by_queries(topic)
-        annotate_topic(topic)
     return topic
 
 
@@ -300,12 +299,11 @@ def _load_prediction(pred_dir: Path, topic_name: str, ref_name: str) -> Timeline
     path = pred_dir / f"{_safe_name(topic_name)}__{_safe_name(ref_name)}.json"
     if not path.is_file():
         raise MissingPrediction(f"missing prediction file {path}")
-    obj = json.loads(path.read_text(encoding="utf-8"))
-    entries = [
-        (Date.fromisoformat(entry["date"]), list(entry["summary"]))
-        for entry in obj["entries"]
-    ]
-    return Timeline(obj.get("name", "generated"), entries)
+    try:
+        obj = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
+    return timeline_from_obj(obj, str(path), default_name="generated")
 
 
 def cmd_eval(args) -> int:

@@ -14,7 +14,7 @@ from datetime import date as Date
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .errors import DateError, NotFound, ParseError
+from .errors import DateError, EmptyReference, NotFound, ParseError
 
 if TYPE_CHECKING:
     from .temporal import DateMention
@@ -109,18 +109,19 @@ class Topic:
 # ---------------------------------------------------------------------------
 # text processing
 
-_TERMINATORS = ".!?。！？"
+# A terminator followed by whitespace or the end of the text; group 2 is the
+# next non-space character ("" when only whitespace follows, None at the end).
+_TERMINATOR_RE = re.compile(r"([.!?。！？])(?=\s+(\S?)|\Z)")
 
-_WORD_RE = re.compile(r"[^\W_]+", re.UNICODE)
+# A run of word characters other than "_" and CJK ideographs (CJK Unified
+# Ideographs plus extension A; enough for news text), or one such ideograph.
+# The lookahead skips code points of the range that the Unicode tables of
+# the running Python leave unassigned, as the character loop did.
+_TOKEN_RE = re.compile(r"[^\W_一-鿿㐀-䶿]+|(?=\w)[一-鿿㐀-䶿]")
 
 _ASCII_LOWER = str.maketrans(
     "ABCDEFGHIJKLMNOPQRSTUVWXYZ", "abcdefghijklmnopqrstuvwxyz"
 )
-
-
-def _is_cjk(ch: str) -> bool:
-    # CJK Unified Ideographs plus extension A; enough for news text.
-    return "一" <= ch <= "鿿" or "㐀" <= ch <= "䶿"
 
 
 def sentence_split(text: str) -> list[str]:
@@ -131,24 +132,16 @@ def sentence_split(text: str) -> list[str]:
     character to be uppercase, so abbreviations like "U.S. government" do not
     split.  A trailing fragment without a terminator becomes its own sentence.
     """
-    if not text:
-        return []
     sentences = []
     start = 0
-    n = len(text)
-    for i, ch in enumerate(text):
-        if ch not in _TERMINATORS:
+    for match in _TERMINATOR_RE.finditer(text):
+        terminator, following = match.groups()
+        if terminator == "." and following and not following.isupper():
             continue
-        rest = text[i + 1 :]
-        stripped = rest.lstrip()
-        if rest and not rest[0].isspace():
-            continue
-        if ch == "." and stripped and not stripped[0].isupper():
-            continue
-        piece = text[start : i + 1].strip()
+        piece = text[start : match.end()].strip()
         if piece:
             sentences.append(piece)
-        start = i + 1
+        start = match.end()
     tail = text[start:].strip()
     if tail:
         sentences.append(tail)
@@ -162,34 +155,26 @@ def tokenize(sentence: str) -> list[str]:
     letters are lowercased.  CJK text should arrive pre-tokenized; otherwise
     each CJK codepoint falls back to being its own token.
     """
-    tokens: list[str] = []
-    for match in _WORD_RE.finditer(sentence):
-        run = match.group()
-        buf = []
-        for ch in run:
-            if _is_cjk(ch):
-                if buf:
-                    tokens.append("".join(buf).translate(_ASCII_LOWER))
-                    buf = []
-                tokens.append(ch)
-            else:
-                buf.append(ch)
-        if buf:
-            tokens.append("".join(buf).translate(_ASCII_LOWER))
-    return tokens
+    # On ASCII text str.lower is the same mapping, and much faster.
+    lowered = sentence.lower() if sentence.isascii() else sentence.translate(_ASCII_LOWER)
+    return _TOKEN_RE.findall(lowered)
 
 
 # ---------------------------------------------------------------------------
 # loading / saving
 
 
-def _parse_date(value, line_number, file_name) -> Date:
+def _parse_date(value, where: str) -> Date:
     if not isinstance(value, str):
-        raise DateError(f"{file_name}:{line_number}: date must be a string")
+        raise DateError(f"{where}: date must be a string")
     try:
         return Date.fromisoformat(value)
     except ValueError as exc:
-        raise DateError(f"{file_name}:{line_number}: {exc}") from exc
+        raise DateError(f"{where}: {exc}") from exc
+
+
+def _is_str_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(item, str) for item in value)
 
 
 def _read_jsonl(path: Path):
@@ -204,58 +189,76 @@ def _read_jsonl(path: Path):
                     f"{path.name}:{line_number}: invalid JSON: {exc}",
                     line_number=line_number,
                 ) from exc
+            if not isinstance(obj, dict):
+                raise ParseError(
+                    f"{path.name}:{line_number}: expected a JSON object",
+                    line_number=line_number,
+                )
             yield line_number, obj
 
 
-def _article_from_obj(obj, line_number) -> Article:
+def _article_from_obj(obj: dict, line_number) -> Article:
+    where = f"articles.jsonl:{line_number}"
     for key in ("id", "publish_date", "title", "text"):
         if key not in obj:
-            raise ParseError(
-                f"articles.jsonl:{line_number}: missing key {key!r}",
-                line_number=line_number,
-            )
-    publish_date = _parse_date(obj["publish_date"], line_number, "articles.jsonl")
+            raise ParseError(f"{where}: missing key {key!r}", line_number=line_number)
+    for key in ("title", "text"):
+        if not isinstance(obj[key], str):
+            raise ParseError(f"{where}: {key!r} must be a string", line_number=line_number)
+    publish_date = _parse_date(obj["publish_date"], where)
     article_id = str(obj["id"])
     sentences = []
     pretokenized = obj.get("pretokenized")
     if pretokenized is not None:
+        if not (isinstance(pretokenized, list) and all(map(_is_str_list, pretokenized))):
+            raise ParseError(
+                f"{where}: 'pretokenized' must be a list of lists of strings",
+                line_number=line_number,
+            )
         raws = sentence_split(obj["text"])
         if len(raws) != len(pretokenized):
             # The raw text does not line up with the supplied token lists;
             # fall back to reconstructing raws from the tokens.
             raws = [" ".join(toks) for toks in pretokenized]
         for index, toks in enumerate(pretokenized):
-            sentences.append(
-                Sentence(article_id, index, raws[index], [str(t) for t in toks])
-            )
+            sentences.append(Sentence(article_id, index, raws[index], toks))
     else:
         for index, raw in enumerate(sentence_split(obj["text"])):
             sentences.append(Sentence(article_id, index, raw, tokenize(raw)))
-    return Article(article_id, publish_date, str(obj["title"]), sentences)
+    return Article(article_id, publish_date, obj["title"], sentences)
 
 
-def _timeline_from_obj(obj, line_number) -> Timeline:
-    for key in ("name", "entries"):
-        if key not in obj:
-            raise ParseError(
-                f"timelines.jsonl:{line_number}: missing key {key!r}",
-                line_number=line_number,
-            )
+def timeline_from_obj(
+    obj, where: str, line_number: int | None = None, default_name: str | None = None
+) -> Timeline:
+    """Parse one timeline object, ``{"name", "entries": [{"date", "summary"}]}``.
+
+    `where` prefixes every error message.  Without `default_name` the object
+    must carry a name.  Raises ParseError (or DateError) on malformed input.
+    """
+
+    def fail(message: str) -> ParseError:
+        return ParseError(f"{where}: {message}", line_number=line_number)
+
+    if not isinstance(obj, dict):
+        raise fail("expected a JSON object")
+    if default_name is None and "name" not in obj:
+        raise fail("missing key 'name'")
+    if "entries" not in obj:
+        raise fail("missing key 'entries'")
+    if not isinstance(obj["entries"], list):
+        raise fail("'entries' must be a list")
     entries = []
     for entry in obj["entries"]:
-        if "date" not in entry or "summary" not in entry:
-            raise ParseError(
-                f"timelines.jsonl:{line_number}: entry needs date and summary",
-                line_number=line_number,
-            )
-        day = _parse_date(entry["date"], line_number, "timelines.jsonl")
-        entries.append((day, [str(s) for s in entry["summary"]]))
+        if not isinstance(entry, dict) or "date" not in entry or "summary" not in entry:
+            raise fail("entry needs date and summary")
+        if not _is_str_list(entry["summary"]):
+            raise fail("summary must be a list of strings")
+        entries.append((_parse_date(entry["date"], where), entry["summary"]))
     try:
-        return Timeline(str(obj["name"]), entries)
+        return Timeline(str(obj.get("name", default_name)), entries)
     except ValueError as exc:
-        raise ParseError(
-            f"timelines.jsonl:{line_number}: {exc}", line_number=line_number
-        ) from exc
+        raise fail(str(exc)) from exc
 
 
 def load_topic(dir_path) -> Topic:
@@ -281,10 +284,14 @@ def load_topic(dir_path) -> Topic:
         seen_ids.add(article.id)
         articles.append(article)
 
-    timelines = [
-        _timeline_from_obj(obj, line_number)
-        for line_number, obj in _read_jsonl(timelines_path)
-    ]
+    timelines = []
+    for line_number, obj in _read_jsonl(timelines_path):
+        timeline = timeline_from_obj(obj, f"timelines.jsonl:{line_number}", line_number)
+        if not timeline.entries:
+            raise EmptyReference(
+                f"timelines.jsonl:{line_number}: reference timeline {timeline.name!r} is empty"
+            )
+        timelines.append(timeline)
 
     queries: list[str] = []
     keywords_path = dir_path / "keywords.json"
@@ -293,7 +300,9 @@ def load_topic(dir_path) -> Topic:
             obj = json.loads(keywords_path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise ParseError(f"keywords.json: invalid JSON: {exc}") from exc
-        queries = [str(q) for q in obj.get("queries", [])]
+        if not (isinstance(obj, dict) and _is_str_list(obj.get("queries", []))):
+            raise ParseError('keywords.json: expected {"queries": [strings]}')
+        queries = obj.get("queries", [])
 
     return Topic(dir_path.name, articles, queries, timelines)
 
@@ -343,7 +352,9 @@ def filter_by_queries(topic: Topic) -> Topic:
 
     Off by default in the pipeline; how queries constrain the collection is
     deliberately left configurable.  Articles left without sentences are
-    dropped.  With no queries the topic is returned unchanged.
+    dropped.  With no queries the topic is returned unchanged.  Kept
+    sentences keep their date mentions, which depend only on the raw text
+    and the publication date.
     """
     if not topic.queries:
         return topic
@@ -351,7 +362,7 @@ def filter_by_queries(topic: Topic) -> Topic:
     articles = []
     for article in topic.articles:
         kept = [
-            Sentence(s.article_id, new_index, s.raw, list(s.tokens))
+            Sentence(s.article_id, new_index, s.raw, list(s.tokens), list(s.mentions))
             for new_index, s in enumerate(
                 s for s in article.sentences if query_tokens.intersection(s.tokens)
             )

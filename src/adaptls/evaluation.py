@@ -50,18 +50,23 @@ def _ngrams(tokens: list[str], n: int) -> Counter:
     )
 
 
-def rouge_n(pred_tokens: list[str], ref_tokens: list[str], n: int) -> PRF:
-    """Clipped n-gram overlap precision/recall/F1 (n = 1 or 2)."""
-    if n not in (1, 2):
-        raise ValueError("n must be 1 or 2")
-    pred_counts = _ngrams(pred_tokens, n)
-    ref_counts = _ngrams(ref_tokens, n)
+def _rouge_counts(pred_counts: Counter, ref_counts: Counter) -> PRF:
     pred_total = sum(pred_counts.values())
     ref_total = sum(ref_counts.values())
     if pred_total == 0 or ref_total == 0:
         return PRF(0.0, 0.0, 0.0)
-    overlap = sum((pred_counts & ref_counts).values())
+    small, large = sorted((pred_counts, ref_counts), key=len)
+    overlap = sum(
+        min(count, large[gram]) for gram, count in small.items() if gram in large
+    )
     return PRF.from_pr(overlap / pred_total, overlap / ref_total)
+
+
+def rouge_n(pred_tokens: list[str], ref_tokens: list[str], n: int) -> PRF:
+    """Clipped n-gram overlap precision/recall/F1 (n = 1 or 2)."""
+    if n not in (1, 2):
+        raise ValueError("n must be 1 or 2")
+    return _rouge_counts(_ngrams(pred_tokens, n), _ngrams(ref_tokens, n))
 
 
 def entry_tokens(timeline: Timeline) -> dict[Date, list[str]]:
@@ -86,11 +91,13 @@ def align_dates(
     """
     if not pred_tokens or not ref_tokens:
         raise EmptyTimeline("align_dates needs two non-empty timelines")
+    ref_counts = {day: _ngrams(tokens, 1) for day, tokens in ref_tokens.items()}
     alignment = []
     for p_day, p_tokens in pred_tokens.items():
+        p_counts = _ngrams(p_tokens, 1)
         best = None
-        for r_day, r_tokens in ref_tokens.items():
-            score = rouge_n(p_tokens, r_tokens, 1).f1 * _gamma(p_day, r_day)
+        for r_day, r_counts in ref_counts.items():
+            score = _rouge_counts(p_counts, r_counts).f1 * _gamma(p_day, r_day)
             key = (-score, abs((p_day - r_day).days), r_day)
             if best is None or key < best[0]:
                 best = (key, r_day)

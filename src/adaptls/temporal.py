@@ -58,11 +58,24 @@ _DMY_RE = re.compile(
 _CJK_RE = re.compile(r"(\d{4})年(\d{1,2})月(\d{1,2})日")
 _REL_RE = re.compile(r"\b(today|yesterday|tomorrow)\b|(今天|昨天|明天)", re.IGNORECASE)
 _MD_RE = re.compile(rf"\b({_MONTH_ALT})\.?\s+(\d{{1,2}})\b", re.IGNORECASE)
+_DIGIT_RE = re.compile(r"\d")
 
 _REL_OFFSETS = {
     "today": 0, "yesterday": -1, "tomorrow": 1,
     "今天": 0, "昨天": -1, "明天": 1,
 }
+
+
+def _lookup(table: dict, word: str):
+    """`table` entry of a word an IGNORECASE pattern matched.
+
+    That case folding also matches "ſ" to "s" and "İ", "ı" to "i", which
+    str.lower does not undo, so such a word is matched against each key.
+    """
+    value = table.get(word.lower())
+    if value is None:
+        value = next(v for key, v in table.items() if re.fullmatch(key, word, re.IGNORECASE))
+    return value
 
 
 def _safe_date(year: int, month: int, day: int) -> Date | None:
@@ -82,18 +95,29 @@ def _resolve_partial(month: int, day: int, anchor: Date) -> Date | None:
 
 
 def _scan(sentence_raw: str, anchor: Date):
-    """Yield (span, resolved, kind, priority) for every raw pattern match."""
+    """Yield (span, resolved, kind, priority) for every raw pattern match.
+
+    Every pattern but the relative words needs a digit, so a sentence without
+    one skips them.  Matches are ranked by (length, priority, start) later,
+    and only relative matches have priority 2, so yielding those first does
+    not reorder ties.
+    """
+    for m in _REL_RE.finditer(sentence_raw):
+        offset = _lookup(_REL_OFFSETS, m.group())
+        yield m.span(), anchor + timedelta(days=offset), "relative", 2
+    if not _DIGIT_RE.search(sentence_raw):
+        return
     for m in _ISO_RE.finditer(sentence_raw):
         resolved = _safe_date(int(m.group(1)), int(m.group(2)), int(m.group(3)))
         if resolved:
             yield m.span(), resolved, "explicit", 0
     for m in _MDY_RE.finditer(sentence_raw):
-        month = _MONTHS[m.group(1).lower()]
+        month = _lookup(_MONTHS, m.group(1))
         resolved = _safe_date(int(m.group(3)), month, int(m.group(2)))
         if resolved:
             yield m.span(), resolved, "explicit", 1
     for m in _DMY_RE.finditer(sentence_raw):
-        month = _MONTHS[m.group(2).lower()]
+        month = _lookup(_MONTHS, m.group(2))
         resolved = _safe_date(int(m.group(3)), month, int(m.group(1)))
         if resolved:
             yield m.span(), resolved, "explicit", 1
@@ -101,11 +125,8 @@ def _scan(sentence_raw: str, anchor: Date):
         resolved = _safe_date(int(m.group(1)), int(m.group(2)), int(m.group(3)))
         if resolved:
             yield m.span(), resolved, "explicit", 1
-    for m in _REL_RE.finditer(sentence_raw):
-        word = (m.group(1) or m.group(2)).lower()
-        yield m.span(), anchor + timedelta(days=_REL_OFFSETS[word]), "relative", 2
     for m in _MD_RE.finditer(sentence_raw):
-        month = _MONTHS[m.group(1).lower()]
+        month = _lookup(_MONTHS, m.group(1))
         resolved = _resolve_partial(month, int(m.group(2)), anchor)
         if resolved:
             yield m.span(), resolved, "partial", 3

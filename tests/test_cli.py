@@ -378,3 +378,119 @@ class TestKneeCurve:
         assert main(argv) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "UnknownTopic"
+
+
+ARTICLE = {"id": "a1", "publish_date": "2021-03-01", "title": "Flood", "text": "A flood hit. Crews came."}
+REFERENCE = {"name": "ref", "entries": [{"date": "2021-03-01", "summary": ["A flood hit."]}]}
+
+
+def _write_topic(root, articles=None, timelines=None, keywords=None):
+    """One topic under `root`; each file is a list of JSON lines (raw strings pass through)."""
+    topic = root / "t"
+    topic.mkdir(parents=True)
+    lines = lambda items: "".join(  # noqa: E731
+        (item if isinstance(item, str) else json.dumps(item)) + "\n" for item in items
+    )
+    (topic / "articles.jsonl").write_text(lines(articles or [ARTICLE, dict(ARTICLE, id="a2")]))
+    (topic / "timelines.jsonl").write_text(lines(timelines or [REFERENCE]))
+    if keywords is not None:
+        (topic / "keywords.json").write_text(keywords)
+    return root
+
+
+def _one_json_error(capsys) -> dict:
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    return json.loads(err)
+
+
+class TestMalformedInput:
+    """Malformed input exits 1 with one JSON line on stderr, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"pretokenized": 5},
+            {"text": 5},
+            {"title": 5},
+            {"pretokenized": [[1, 2], ["crews"]]},
+            {"pretokenized": ["ab", "cd"]},
+            {"pretokenized": [["a flood"], "crews"]},
+        ],
+    )
+    def test_article_field_types(self, tmp_path, capsys, bad):
+        root = _write_topic(tmp_path / "ds", articles=[ARTICLE, dict(ARTICLE, id="a2", **bad)])
+        assert main(["stats", str(root)]) == 1
+        err = _one_json_error(capsys)
+        assert err["error"] == "ParseError"
+        assert err["message"].startswith("articles.jsonl:2: ")
+
+    @pytest.mark.parametrize("line", ["5", "[1, 2]", '"id title text"', "null"])
+    def test_article_line_not_an_object(self, tmp_path, capsys, line):
+        root = _write_topic(tmp_path / "ds", articles=[ARTICLE, line])
+        assert main(["stats", str(root)]) == 1
+        assert _one_json_error(capsys)["message"] == "articles.jsonl:2: expected a JSON object"
+
+    @pytest.mark.parametrize(
+        "timeline",
+        [
+            dict(REFERENCE, entries=5),
+            dict(REFERENCE, entries=[5]),
+            dict(REFERENCE, entries=[{"date": "2021-03-01", "summary": "A flood hit."}]),
+            dict(REFERENCE, entries=[{"date": "2021-03-01", "summary": [1]}]),
+            "[]",
+        ],
+    )
+    def test_timeline_types(self, tmp_path, capsys, timeline):
+        root = _write_topic(tmp_path / "ds", timelines=[REFERENCE, timeline])
+        assert main(["stats", str(root)]) == 1
+        err = _one_json_error(capsys)
+        assert err["error"] == "ParseError"
+        assert err["message"].startswith("timelines.jsonl:2: ")
+
+    def test_empty_reference_timeline(self, tmp_path, capsys):
+        root = _write_topic(tmp_path / "ds", timelines=[REFERENCE, dict(REFERENCE, name="r2", entries=[])])
+        assert main(["stats", str(root)]) == 1
+        err = _one_json_error(capsys)
+        assert err["error"] == "EmptyReference"
+        assert err["message"].startswith("timelines.jsonl:2: ")
+
+    @pytest.mark.parametrize("keywords", ["[]", '{"queries": "flood"}', '{"queries": [1]}'])
+    def test_keywords_types(self, tmp_path, capsys, keywords):
+        root = _write_topic(tmp_path / "ds", keywords=keywords)
+        assert main(["stats", str(root)]) == 1
+        assert _one_json_error(capsys)["error"] == "ParseError"
+
+    @pytest.mark.parametrize(
+        "prediction, error",
+        [
+            ("{}", "ParseError"),
+            ("[]", "ParseError"),
+            ("5", "ParseError"),
+            ('"entries"', "ParseError"),
+            ('{"entries": 5}', "ParseError"),
+            ('{"entries": [5]}', "ParseError"),
+            ('{"entries": [{"date": "2021-03-01"}]}', "ParseError"),
+            ('{"entries": [{"date": 5, "summary": ["A."]}]}', "DateError"),
+            ('{"entries": [{"date": "2021-03-01", "summary": []}]}', "ParseError"),
+            ("{", "ParseError"),
+        ],
+    )
+    def test_prediction_file(self, tmp_path, capsys, prediction, error):
+        root = _write_topic(tmp_path / "ds")
+        pred = tmp_path / "pred"
+        pred.mkdir()
+        (pred / "t__ref.json").write_text(prediction)
+        assert main(["eval", "--pred", str(pred), "--dataset", str(root)]) == 1
+        err = _one_json_error(capsys)
+        assert err["error"] == error
+        assert "t__ref.json" in err["message"]
+
+    def test_valid_topic_and_prediction_pass(self, tmp_path, capsys):
+        root = _write_topic(tmp_path / "ds", keywords='{"queries": ["flood"]}')
+        pred = tmp_path / "pred"
+        pred.mkdir()
+        (pred / "t__ref.json").write_text(json.dumps({"entries": REFERENCE["entries"]}))
+        assert main(["stats", str(root)]) == 0
+        assert main(["eval", "--pred", str(pred), "--dataset", str(root)]) == 0
+        assert capsys.readouterr().err == ""

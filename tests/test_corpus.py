@@ -293,3 +293,18 @@ class TestQueryFilter:
         filtered = filter_by_queries(alpha)
         kept = [s.raw for s in filtered.sentences()]
         assert kept == ["A flood hit the valley."]
+
+    def test_keeps_mentions_of_annotation(self):
+        from datetime import date
+
+        from adaptls.corpus import Article
+
+        raws = ["Rain fell on 2021-03-01.", "A flood hit yesterday.", "Crews said flood waters rose March 2."]
+        article = Article("a", date(2021, 3, 5), "t", [Sentence("a", i, r, tokenize(r)) for i, r in enumerate(raws)])
+        topic = annotate_topic(Topic("t", [article], queries=["flood"]))
+        filtered = filter_by_queries(topic)
+        kept = filtered.sentences()
+        assert [s.raw for s in kept] == raws[1:]
+        assert [s.mentions for s in kept] == [s.mentions for s in topic.sentences()[1:]]
+        assert [s.mentions for s in kept] == [s.mentions for s in annotate_topic(filtered).sentences()]
+        assert all(s.mentions for s in kept)

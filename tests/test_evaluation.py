@@ -193,6 +193,57 @@ class TestAlignDates:
         with pytest.raises(EmptyTimeline):
             _align(tl, Timeline("ref", []))
 
+    def test_counts_each_entry_once(self, monkeypatch):
+        import adaptls.evaluation as evaluation
+
+        calls = Counter()
+        ngrams = evaluation._ngrams
+
+        def counting(tokens, n):
+            calls[n] += 1
+            return ngrams(tokens, n)
+
+        monkeypatch.setattr(evaluation, "_ngrams", counting)
+        pred = {date(2020, 1, d): ["a", "b"] for d in (1, 2)}
+        ref = {date(2020, 1, d): ["b", "c"] for d in (1, 3, 5)}
+        align_dates(pred, ref)
+        assert calls == {1: 5}
+
+    @given(
+        st.dictionaries(
+            st.dates(date(2020, 1, 1), date(2020, 1, 20)),
+            st.lists(st.sampled_from("abcd"), max_size=6),
+            min_size=1,
+            max_size=5,
+        ),
+        st.dictionaries(
+            st.dates(date(2020, 1, 1), date(2020, 1, 20)),
+            st.lists(st.sampled_from("abcd"), max_size=6),
+            min_size=1,
+            max_size=5,
+        ),
+    )
+    def test_matches_pairwise_rouge_oracle(self, pred, ref):
+        # The pairwise loop: two Counters and their intersection per pair.
+        def f1(p_tokens, r_tokens):
+            if not p_tokens or not r_tokens:
+                return 0.0
+            overlap = sum((Counter(p_tokens) & Counter(r_tokens)).values())
+            return PRF.from_pr(overlap / len(p_tokens), overlap / len(r_tokens)).f1
+
+        expected = []
+        for p_day, p_tokens in pred.items():
+            best = min(
+                ref,
+                key=lambda r_day: (
+                    -f1(p_tokens, ref[r_day]) * (1.0 / (1 + abs((p_day - r_day).days))),
+                    abs((p_day - r_day).days),
+                    r_day,
+                ),
+            )
+            expected.append((p_day, best, 1 / (1 + abs((p_day - best).days))))
+        assert align_dates(pred, ref) == expected
+
 
 class TestAlignRougeF1:
     def test_self_evaluation_is_one(self):

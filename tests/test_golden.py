@@ -58,13 +58,28 @@ DIGESTS = {
     "planted/datewise-opt/synth2__planted.json": "dc51eb9ad9a3d443f83add1a6ad77c86c3673ef87033d100638800514f0164ad",
 }
 
+# `--use-query-filter` on the planted topics, each queried for two of its
+# words, recorded with the earlier pipeline, which annotated the filtered
+# topic a second time.
+QUERY_FILTER_DIGESTS = {
+    "adprm-d/synth0__planted.json": "38dececbc658d7f5d739b3f666f1f61968fa67b5ee08240b0b6cc5d8cb6db523",
+    "adprm-d/synth1__planted.json": "b90799671a5b29971cac34f8d848e960403a07ad08d3e95901ac6223ee7855bc",
+    "adprm-d/synth2__planted.json": "e4a1fbc2afed8bd729f558dbfbcbc47f5ecfcdb9a299da00754728d688e2941a",
+    "adprm-e/synth0__planted.json": "b0c3eefb829acd2a93bda9a36c2e667367e25c6a7481919342690c719bfcb877",
+    "adprm-e/synth1__planted.json": "99c0ad990d70ddf5ff47b745095e27a97db435160be27a6009e2bf56d325f0c6",
+    "adprm-e/synth2__planted.json": "90bd418ff3fc97f2e7493fe87ec55904e3c26513074118899e548099383623d8",
+}
+
 
 @pytest.fixture(scope="module")
 def datasets(tmp_path_factory):
     planted = tmp_path_factory.mktemp("planted")
+    queried = tmp_path_factory.mktemp("planted-queries")
     for topic in planted_topics():
         save_topic(topic, planted / topic.name)
-    return {"mini": MINI_DIR, "planted": planted}
+        topic.queries = ["flood", "rescue"]
+        save_topic(topic, queried / topic.name)
+    return {"mini": MINI_DIR, "planted": planted, "planted-queries": queried}
 
 
 @pytest.mark.parametrize("dataset", ["mini", "planted"])
@@ -81,3 +96,18 @@ def test_timeline_digests(datasets, dataset, run, tmp_path):
     }
     prefix = f"{dataset}/{run}/"
     assert got == {k: v for k, v in DIGESTS.items() if k.startswith(prefix)}
+
+
+@pytest.mark.parametrize("run", ["adprm-d", "adprm-e"])
+def test_query_filter_digests(datasets, run, tmp_path):
+    dataset = datasets["planted-queries"]
+    regressors = tmp_path / "regressors"
+    out = tmp_path / "out"
+    assert main(["train", str(dataset), "--out", str(regressors)]) == 0
+    argv = ["run", "--dataset-dir", str(dataset), "--output-dir", str(out), "--use-query-filter"]
+    assert main(argv + ["--regressors", str(regressors), *RUNS[run]]) == 0
+    got = {
+        f"{run}/{path.name}": hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in out.glob("*__*.json")
+    }
+    assert got == {k: v for k, v in QUERY_FILTER_DIGESTS.items() if k.startswith(f"{run}/")}

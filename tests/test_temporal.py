@@ -71,6 +71,21 @@ class TestExtractDateMentions:
         for start, end in spans:
             assert 0 <= start < end <= len(raw)
 
+    def test_unicode_case_folds_resolve(self):
+        # IGNORECASE matches "ſ" to "s" and "İ", "ı" to "i"; str.lower keeps
+        # them, so the month and relative-word lookups must not.
+        anchor = date(2021, 9, 10)
+        assert [m.resolved for m in extract_date_mentions("Since \u017fept. 5, 2021.", anchor)] == [
+            date(2021, 9, 5)
+        ]
+        assert [m.resolved for m in extract_date_mentions("Due Apr\u0130l 3 or apr\u0131l 4.", anchor)] == [
+            date(2021, 4, 3),
+            date(2021, 4, 4),
+        ]
+        assert [m.resolved for m in extract_date_mentions("Ye\u017fterday it rained.", anchor)] == [
+            date(2021, 9, 9)
+        ]
+
     def test_deterministic(self):
         raw = "On 2020-02-02 and again yesterday, twice on 2020-02-02."
         anchor = date(2020, 2, 3)
