@@ -18,7 +18,14 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import adaptive_selection, date_ranking, event_ranking, evaluation
-from .corpus import Timeline, Topic, filter_by_queries, load_dataset, timeline_from_obj
+from .corpus import (
+    Timeline,
+    Topic,
+    filter_by_queries,
+    load_dataset,
+    load_references,
+    timeline_from_obj,
+)
 from .errors import (
     AdaptlsError,
     InsufficientTopics,
@@ -33,6 +40,11 @@ from .tfidf import build_vectorizer
 DATE_METHODS = ("datewise", "adprm-d")
 EVENT_METHODS = ("clust", "adprm-e")
 BASELINE_METHODS = ("datewise", "clust")
+
+
+def _check_count(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass
@@ -70,6 +82,9 @@ class RunConfig:
             )
         if self.summarizer not in (None, "rank", "opt"):
             raise ValueError(f"unknown summarizer {self.summarizer!r}")
+        if self.c_max is not None:
+            _check_count("c_max", self.c_max)
+        _check_count("jobs", self.jobs)
 
     def effective_summarizer(self) -> str:
         if self.summarizer is not None:
@@ -307,14 +322,13 @@ def _load_prediction(pred_dir: Path, topic_name: str, ref_name: str) -> Timeline
 
 
 def cmd_eval(args) -> int:
-    dataset = load_dataset(args.dataset)
     pred_dir = Path(args.pred)
     report = evaluation.EvalReport()
-    for topic in dataset:
-        for reference in topic.reference_timelines:
-            pred = _load_prediction(pred_dir, topic.name, reference.name)
+    for topic_name, references in load_references(args.dataset):
+        for reference in references:
+            pred = _load_prediction(pred_dir, topic_name, reference.name)
             report.pairs.append(
-                evaluation.evaluate_pair(pred, reference, topic.name)
+                evaluation.evaluate_pair(pred, reference, topic_name)
             )
     out_prefix = Path(args.out) if args.out else pred_dir / "report"
     out_prefix.parent.mkdir(parents=True, exist_ok=True)

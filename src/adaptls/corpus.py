@@ -261,6 +261,19 @@ def timeline_from_obj(
         raise fail(str(exc)) from exc
 
 
+def _read_references(path: Path) -> list[Timeline]:
+    """The reference timelines of a ``timelines.jsonl``; none may be empty."""
+    timelines = []
+    for line_number, obj in _read_jsonl(path):
+        timeline = timeline_from_obj(obj, f"timelines.jsonl:{line_number}", line_number)
+        if not timeline.entries:
+            raise EmptyReference(
+                f"timelines.jsonl:{line_number}: reference timeline {timeline.name!r} is empty"
+            )
+        timelines.append(timeline)
+    return timelines
+
+
 def load_topic(dir_path) -> Topic:
     """Load one topic directory into a Topic."""
     dir_path = Path(dir_path)
@@ -284,14 +297,7 @@ def load_topic(dir_path) -> Topic:
         seen_ids.add(article.id)
         articles.append(article)
 
-    timelines = []
-    for line_number, obj in _read_jsonl(timelines_path):
-        timeline = timeline_from_obj(obj, f"timelines.jsonl:{line_number}", line_number)
-        if not timeline.entries:
-            raise EmptyReference(
-                f"timelines.jsonl:{line_number}: reference timeline {timeline.name!r} is empty"
-            )
-        timelines.append(timeline)
+    timelines = _read_references(timelines_path)
 
     queries: list[str] = []
     keywords_path = dir_path / "keywords.json"
@@ -333,18 +339,39 @@ def save_topic(topic: Topic, dir_path) -> None:
         )
 
 
-def load_dataset(root) -> list[Topic]:
-    """Load every topic directory under `root`, sorted by name."""
+def _topic_dirs(root) -> list[Path]:
+    """The topic directories under `root`: those holding ``articles.jsonl``, sorted."""
     root = Path(root)
     if not root.is_dir():
         raise NotFound(f"dataset directory not found: {root}")
-    topics = []
-    for child in sorted(root.iterdir()):
-        if child.is_dir() and (child / "articles.jsonl").is_file():
-            topics.append(load_topic(child))
-    if not topics:
+    dirs = [
+        child
+        for child in sorted(root.iterdir())
+        if child.is_dir() and (child / "articles.jsonl").is_file()
+    ]
+    if not dirs:
         raise NotFound(f"no topic directories under {root}")
-    return topics
+    return dirs
+
+
+def load_dataset(root) -> list[Topic]:
+    """Load every topic directory under `root`, sorted by name."""
+    return [load_topic(child) for child in _topic_dirs(root)]
+
+
+def load_references(root) -> list[tuple[str, list[Timeline]]]:
+    """(topic name, reference timelines) of every topic under `root`, sorted by name.
+
+    Reads only each topic's ``timelines.jsonl``, with the checks of
+    `load_topic`; the articles are neither read nor checked.
+    """
+    references = []
+    for child in _topic_dirs(root):
+        path = child / "timelines.jsonl"
+        if not path.is_file():
+            raise NotFound(f"missing file: {path}")
+        references.append((child.name, _read_references(path)))
+    return references
 
 
 def filter_by_queries(topic: Topic) -> Topic:

@@ -16,10 +16,11 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import Topic
-from .errors import EmptyDataset, SingularSystem
+from .errors import EmptyDataset, ParseError, SingularSystem
 from .temporal import DateCandidate, candidate_dates
 
 DEFAULT_LAMBDA = 1.0
+N_FEATURES = 9  # columns of feature_matrix
 
 
 def _clamp01(x: float) -> float:
@@ -27,7 +28,7 @@ def _clamp01(x: float) -> float:
 
 
 def feature_matrix(topic: Topic) -> tuple[list[DateCandidate], np.ndarray]:
-    """All candidates of a topic with their (n, 9) feature rows.
+    """All candidates of a topic with their (n, N_FEATURES) feature rows.
 
     Columns: ln(1 + mentions), ln(1 + articles published on the date),
     ln(1 + sentences published on it), ln(1 + mentions within +-1, +-3 and
@@ -68,9 +69,18 @@ def feature_matrix(topic: Topic) -> tuple[list[DateCandidate], np.ndarray]:
     return candidates, np.array(rows)
 
 
+def _is_finite_number(value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
 @dataclass(frozen=True)
 class Regressor:
-    weights: np.ndarray  # shape (9,)
+    weights: np.ndarray  # shape (N_FEATURES,)
     bias: float
     l2_lambda: float
 
@@ -89,11 +99,23 @@ class Regressor:
 
     @staticmethod
     def load(path) -> "Regressor":
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        """Read a saved regressor; a malformed file raises ParseError naming it."""
+        try:
+            obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}: invalid JSON: {exc}") from exc
+        if not isinstance(obj, dict):
+            raise ParseError(f"{path}: expected a JSON object")
+        for key in ("weights", "bias", "lambda"):
+            if key not in obj:
+                raise ParseError(f"{path}: missing key {key!r}")
+        weights = obj["weights"]
+        if not (isinstance(weights, list) and len(weights) == N_FEATURES):
+            raise ParseError(f"{path}: 'weights' must be a list of {N_FEATURES} numbers")
+        if not all(map(_is_finite_number, weights + [obj["bias"], obj["lambda"]])):
+            raise ParseError(f"{path}: weights, bias and lambda must be finite numbers")
         return Regressor(
-            np.array(obj["weights"], dtype=float),
-            float(obj["bias"]),
-            float(obj["lambda"]),
+            np.array(weights, dtype=float), float(obj["bias"]), float(obj["lambda"])
         )
 
 

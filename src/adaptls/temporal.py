@@ -48,17 +48,29 @@ _MONTHS = {
 
 _MONTH_ALT = "|".join(sorted(_MONTHS, key=len, reverse=True))
 
+_MDY = rf"\b({_MONTH_ALT})\.?\s+(\d{{1,2}})\s*,\s*(\d{{4}})\b"
+_DMY = rf"\b(\d{{1,2}})\s+({_MONTH_ALT})\.?\s+(\d{{4}})\b"
+_MD = rf"\b({_MONTH_ALT})\.?\s+(\d{{1,2}})\b"
+_REL_WORDS = r"\b(today|yesterday|tomorrow)\b"
+
 _ISO_RE = re.compile(r"(?<!\d)(\d{4})-(\d{2})-(\d{2})(?!\d)")
-_MDY_RE = re.compile(
-    rf"\b({_MONTH_ALT})\.?\s+(\d{{1,2}})\s*,\s*(\d{{4}})\b", re.IGNORECASE
-)
-_DMY_RE = re.compile(
-    rf"\b(\d{{1,2}})\s+({_MONTH_ALT})\.?\s+(\d{{4}})\b", re.IGNORECASE
-)
+_MDY_RE = re.compile(_MDY, re.IGNORECASE)
+_DMY_RE = re.compile(_DMY, re.IGNORECASE)
 _CJK_RE = re.compile(r"(\d{4})年(\d{1,2})月(\d{1,2})日")
-_REL_RE = re.compile(r"\b(today|yesterday|tomorrow)\b|(今天|昨天|明天)", re.IGNORECASE)
-_MD_RE = re.compile(rf"\b({_MONTH_ALT})\.?\s+(\d{{1,2}})\b", re.IGNORECASE)
+_REL_RE = re.compile(rf"{_REL_WORDS}|(今天|昨天|明天)", re.IGNORECASE)
+_MD_RE = re.compile(_MD, re.IGNORECASE)
 _DIGIT_RE = re.compile(r"\d")
+
+# Case-sensitive copies for lowercased ASCII text.  On ASCII text an
+# IGNORECASE match is a case-sensitive match of the lowercased text: the
+# patterns' letters are all lowercase, lowercasing keeps every offset, and
+# \b, \d, \s and \w class each ASCII character as they class its lowercase.
+_LOWER_REL_RE = re.compile(_REL_WORDS)
+_LOWER_MDY_RE = re.compile(_MDY)
+_LOWER_DMY_RE = re.compile(_DMY)
+_LOWER_MD_RE = re.compile(_MD)
+# Every month name and abbreviation starts with one of these stems.
+_MONTH_STEM_RE = re.compile("|".join(sorted({name[:3] for name in _MONTHS})))
 
 _REL_OFFSETS = {
     "today": 0, "yesterday": -1, "tomorrow": 1,
@@ -97,35 +109,49 @@ def _resolve_partial(month: int, day: int, anchor: Date) -> Date | None:
 def _scan(sentence_raw: str, anchor: Date):
     """Yield (span, resolved, kind, priority) for every raw pattern match.
 
-    Every pattern but the relative words needs a digit, so a sentence without
-    one skips them.  Matches are ranked by (length, priority, start) later,
-    and only relative matches have priority 2, so yielding those first does
-    not reorder ties.
+    An ASCII sentence is scanned lowercased, with the case-sensitive copies,
+    and the CJK forms are skipped.  A pattern is skipped when the text lacks
+    a literal that each of its matches holds: a digit for all but the
+    relative words, "-" for ISO dates and, in lowercased ASCII text, a
+    relative word or a month stem.  No two patterns can match the same span,
+    so the order of the scan does not change the ranking of the matches.
     """
-    for m in _REL_RE.finditer(sentence_raw):
-        offset = _lookup(_REL_OFFSETS, m.group())
-        yield m.span(), anchor + timedelta(days=offset), "relative", 2
-    if not _DIGIT_RE.search(sentence_raw):
+    is_ascii = sentence_raw.isascii()
+    if is_ascii:
+        text = sentence_raw.lower()
+        rel_re, mdy_re, dmy_re, md_re = _LOWER_REL_RE, _LOWER_MDY_RE, _LOWER_DMY_RE, _LOWER_MD_RE
+    else:
+        text = sentence_raw
+        rel_re, mdy_re, dmy_re, md_re = _REL_RE, _MDY_RE, _DMY_RE, _MD_RE
+    if not is_ascii or "today" in text or "yesterday" in text or "tomorrow" in text:
+        for m in rel_re.finditer(text):
+            offset = _lookup(_REL_OFFSETS, m.group())
+            yield m.span(), anchor + timedelta(days=offset), "relative", 2
+    if not _DIGIT_RE.search(text):
         return
-    for m in _ISO_RE.finditer(sentence_raw):
-        resolved = _safe_date(int(m.group(1)), int(m.group(2)), int(m.group(3)))
-        if resolved:
-            yield m.span(), resolved, "explicit", 0
-    for m in _MDY_RE.finditer(sentence_raw):
+    if "-" in text:
+        for m in _ISO_RE.finditer(text):
+            resolved = _safe_date(int(m.group(1)), int(m.group(2)), int(m.group(3)))
+            if resolved:
+                yield m.span(), resolved, "explicit", 0
+    if not is_ascii:
+        for m in _CJK_RE.finditer(text):
+            resolved = _safe_date(int(m.group(1)), int(m.group(2)), int(m.group(3)))
+            if resolved:
+                yield m.span(), resolved, "explicit", 1
+    elif not _MONTH_STEM_RE.search(text):
+        return
+    for m in mdy_re.finditer(text):
         month = _lookup(_MONTHS, m.group(1))
         resolved = _safe_date(int(m.group(3)), month, int(m.group(2)))
         if resolved:
             yield m.span(), resolved, "explicit", 1
-    for m in _DMY_RE.finditer(sentence_raw):
+    for m in dmy_re.finditer(text):
         month = _lookup(_MONTHS, m.group(2))
         resolved = _safe_date(int(m.group(3)), month, int(m.group(1)))
         if resolved:
             yield m.span(), resolved, "explicit", 1
-    for m in _CJK_RE.finditer(sentence_raw):
-        resolved = _safe_date(int(m.group(1)), int(m.group(2)), int(m.group(3)))
-        if resolved:
-            yield m.span(), resolved, "explicit", 1
-    for m in _MD_RE.finditer(sentence_raw):
+    for m in md_re.finditer(text):
         month = _lookup(_MONTHS, m.group(1))
         resolved = _resolve_partial(month, int(m.group(2)), anchor)
         if resolved:
@@ -136,19 +162,19 @@ def extract_date_mentions(sentence_raw: str, anchor: Date) -> list[DateMention]:
     """Extract date mentions from one sentence, resolved against `anchor`.
 
     Overlapping matches are resolved longest-match-first, so "March 20, 2021"
-    wins over the partial "March 20" inside it.
+    wins over the partial "March 20" inside it.  A single match needs no
+    ranking.
     """
-    matches = sorted(
-        _scan(sentence_raw, anchor),
-        key=lambda item: (-(item[0][1] - item[0][0]), item[3], item[0][0]),
-    )
-    taken: list[tuple[tuple[int, int], Date, str]] = []
-    for span, resolved, kind, _ in matches:
-        if any(span[0] < t_end and t_start < span[1] for (t_start, t_end), _, _ in taken):
-            continue
-        taken.append((span, resolved, kind))
-    taken.sort(key=lambda item: item[0])
-    return [DateMention(resolved, span, kind) for span, resolved, kind in taken]
+    matches = list(_scan(sentence_raw, anchor))
+    if len(matches) > 1:
+        matches.sort(key=lambda item: (-(item[0][1] - item[0][0]), item[3], item[0][0]))
+        taken = []
+        for match in matches:
+            span = match[0]
+            if not any(span[0] < t_end and t_start < span[1] for (t_start, t_end), *_ in taken):
+                taken.append(match)
+        matches = sorted(taken, key=lambda item: item[0])
+    return [DateMention(resolved, span, kind) for span, resolved, kind, _ in matches]
 
 
 def annotate_topic(topic: Topic) -> Topic:

@@ -398,6 +398,10 @@ def _write_topic(root, articles=None, timelines=None, keywords=None):
     return root
 
 
+def _run_argv(tmp_path, root, *extra):
+    return ["run", "--dataset-dir", str(root), "--output-dir", str(tmp_path / "out"), *extra]
+
+
 def _one_json_error(capsys) -> dict:
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
@@ -485,6 +489,111 @@ class TestMalformedInput:
         err = _one_json_error(capsys)
         assert err["error"] == error
         assert "t__ref.json" in err["message"]
+
+    def test_eval_reads_only_references(self, tmp_path, capsys):
+        root = _write_topic(tmp_path / "ds", articles=[ARTICLE, "5"])
+        pred = tmp_path / "pred"
+        pred.mkdir()
+        (pred / "t__ref.json").write_text(json.dumps(REFERENCE))
+        assert main(["stats", str(root)]) == 1
+        assert _one_json_error(capsys)["message"] == "articles.jsonl:2: expected a JSON object"
+        assert main(["eval", "--pred", str(pred), "--dataset", str(root)]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize(
+        "timelines, error",
+        [
+            ([REFERENCE, "{"], "ParseError"),
+            ([REFERENCE, dict(REFERENCE, entries=5)], "ParseError"),
+            ([REFERENCE, dict(REFERENCE, name="r2", entries=[])], "EmptyReference"),
+            (None, "NotFound"),
+        ],
+    )
+    def test_eval_checks_references(self, tmp_path, capsys, timelines, error):
+        root = _write_topic(tmp_path / "ds", timelines=timelines)
+        if timelines is None:
+            (root / "t" / "timelines.jsonl").unlink()
+        pred = tmp_path / "pred"
+        pred.mkdir()
+        (pred / "t__ref.json").write_text(json.dumps(REFERENCE))
+        assert main(["eval", "--pred", str(pred), "--dataset", str(root)]) == 1
+        assert _one_json_error(capsys)["error"] == error
+
+    @pytest.mark.parametrize(
+        "regressor",
+        [
+            "{",
+            "[]",
+            "5",
+            "{}",
+            json.dumps({"weights": [0.0] * 9, "bias": 0.0}),
+            json.dumps({"bias": 0.0, "lambda": 1.0}),
+            json.dumps({"weights": [0.0, 1.0], "bias": 0.0, "lambda": 1.0}),
+            json.dumps({"weights": [0.0] * 10, "bias": 0.0, "lambda": 1.0}),
+            json.dumps({"weights": 5, "bias": 0.0, "lambda": 1.0}),
+            json.dumps({"weights": [0.0] * 8 + ["1"], "bias": 0.0, "lambda": 1.0}),
+            json.dumps({"weights": [0.0] * 8 + [True], "bias": 0.0, "lambda": 1.0}),
+            json.dumps({"weights": [0.0] * 8 + [[1.0]], "bias": 0.0, "lambda": 1.0}),
+            json.dumps({"weights": [0.0] * 9, "bias": "0", "lambda": 1.0}),
+            json.dumps({"weights": [0.0] * 9, "bias": 0.0, "lambda": None}),
+            '{"weights": [0, 0, 0, 0, 0, 0, 0, 0, NaN], "bias": 0, "lambda": 1}',
+            '{"weights": [0, 0, 0, 0, 0, 0, 0, 0, 0], "bias": Infinity, "lambda": 1}',
+            '{"weights": [0, 0, 0, 0, 0, 0, 0, 0, 0], "bias": 0, "lambda": -Infinity}',
+            '{"weights": [0, 0, 0, 0, 0, 0, 0, 0, 1e999], "bias": 0, "lambda": 1}',
+            '{"weights": [0, 0, 0, 0, 0, 0, 0, 0, 1%s], "bias": 0, "lambda": 1}' % ("0" * 400),
+        ],
+        ids=[
+            "invalid-json", "array", "number", "empty-object", "no-lambda", "no-weights",
+            "2-weights", "10-weights", "weights-number", "string-weight", "bool-weight",
+            "list-weight", "string-bias", "null-lambda", "nan-weight", "inf-bias",
+            "minus-inf-lambda", "float-overflow", "int-overflow",
+        ],
+    )
+    def test_regressor_file(self, tmp_path, capsys, regressor):
+        root = _write_topic(tmp_path / "ds")
+        regressors = tmp_path / "reg"
+        regressors.mkdir()
+        (regressors / "regressor_t.json").write_text(regressor)
+        assert main(_run_argv(tmp_path, root, "--method", "adprm-d", "--regressors", str(regressors))) == 1
+        err = _one_json_error(capsys)
+        assert err["error"] == "ParseError"
+        assert "regressor_t.json" in err["message"]
+
+    def test_valid_regressor_file_passes(self, tmp_path, capsys):
+        root = _write_topic(tmp_path / "ds")
+        regressors = tmp_path / "reg"
+        regressors.mkdir()
+        (regressors / "regressor_t.json").write_text(
+            json.dumps({"weights": [1, 0, 0, 0, 0, 0, 0, 0, 0.5], "bias": -1, "lambda": 1})
+        )
+        assert main(_run_argv(tmp_path, root, "--method", "adprm-d", "--regressors", str(regressors))) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize(
+        "flags, config",
+        [
+            (["--c-max", "0"], None),
+            (["--c-max", "-2"], None),
+            (["--jobs", "0"], None),
+            (["--jobs", "-1"], None),
+            ([], {"c_max": "5"}),
+            ([], {"c_max": 2.5}),
+            ([], {"c_max": True}),
+            ([], {"jobs": None}),
+            ([], {"jobs": "2"}),
+        ],
+    )
+    def test_count_options_range_checked(self, tmp_path, capsys, flags, config):
+        root = _write_topic(tmp_path / "ds")
+        argv = _run_argv(tmp_path, root, "--method", "adprm-e", *flags)
+        if config is not None:
+            (tmp_path / "config.json").write_text(json.dumps(config))
+            argv += ["--config", str(tmp_path / "config.json")]
+        assert main(argv) == 1
+        err = _one_json_error(capsys)
+        assert err["error"] == "ValueError"
+        assert "must be an integer >= 1" in err["message"]
+        assert not (tmp_path / "out").exists()
 
     def test_valid_topic_and_prediction_pass(self, tmp_path, capsys):
         root = _write_topic(tmp_path / "ds", keywords='{"queries": ["flood"]}')

@@ -9,6 +9,8 @@ from adaptls.corpus import (
     Sentence,
     Topic,
     filter_by_queries,
+    load_dataset,
+    load_references,
     load_topic,
     save_topic,
     sentence_split,
@@ -281,6 +283,43 @@ class TestLoadTopic:
             assert len(topic.sentences()) == sum(
                 len(a.sentences) for a in topic.articles
             )
+
+
+class TestLoadReferences:
+    def test_matches_load_dataset(self, mini_dir):
+        assert load_references(mini_dir) == [
+            (topic.name, topic.reference_timelines) for topic in load_dataset(mini_dir)
+        ]
+
+    def test_reads_no_articles(self, tmp_path):
+        topic_dir = tmp_path / "t"
+        topic_dir.mkdir()
+        (topic_dir / "articles.jsonl").write_text("not json\n")
+        (topic_dir / "timelines.jsonl").write_text(
+            json.dumps({"name": "r", "entries": [{"date": "2020-01-01", "summary": ["A."]}]})
+            + "\n"
+        )
+        with pytest.raises(ParseError):
+            load_dataset(tmp_path)
+        [(name, [timeline])] = load_references(tmp_path)
+        assert (name, timeline.name, timeline.length) == ("t", "r", 1)
+
+    def test_topic_discovery(self, tmp_path):
+        with pytest.raises(NotFound, match="dataset directory not found"):
+            load_references(tmp_path / "nope")
+        (tmp_path / "no-articles").mkdir()
+        (tmp_path / "no-articles" / "timelines.jsonl").write_text("")
+        with pytest.raises(NotFound, match="no topic directories"):
+            load_references(tmp_path)
+        (tmp_path / "b").mkdir()
+        (tmp_path / "b" / "articles.jsonl").write_text("")
+        with pytest.raises(NotFound, match="missing file"):
+            load_references(tmp_path)
+        (tmp_path / "b" / "timelines.jsonl").write_text("")
+        (tmp_path / "a").mkdir()
+        (tmp_path / "a" / "articles.jsonl").write_text("")
+        (tmp_path / "a" / "timelines.jsonl").write_text("")
+        assert load_references(tmp_path) == [("a", []), ("b", [])]
 
 
 class TestQueryFilter:

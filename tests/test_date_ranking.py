@@ -6,6 +6,7 @@ import pytest
 
 from adaptls.corpus import Article, Sentence, Timeline, Topic, tokenize
 from adaptls.date_ranking import (
+    N_FEATURES,
     Regressor,
     feature_matrix,
     score_dates,
@@ -150,6 +151,13 @@ def _blocks(topics):
 
 
 class TestTrainAndScore:
+    def test_saved_regressor_loads_back(self, tmp_path):
+        regressor = train_regressor(_blocks(_training_topics()))
+        assert regressor.weights.shape == (N_FEATURES,)
+        regressor.save(tmp_path / "r.json")
+        loaded = Regressor.load(tmp_path / "r.json")
+        assert loaded.to_json_obj() == regressor.to_json_obj()
+
     def test_requires_reference_timelines(self):
         # `adaptls train` builds no block for a topic without references
         with pytest.raises(EmptyDataset):

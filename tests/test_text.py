@@ -1,11 +1,12 @@
-"""The regex splitter and tokenizer and the digit-gated date scan agree with
-the character loops and the ungated scan of `text_oracle`."""
+"""The regex splitter and tokenizer and the gated date scan agree with the
+character loops and the ungated scan of `text_oracle`."""
 
 import re
 from datetime import date, timedelta
 
 from hypothesis import given, settings, strategies as st
 
+from adaptls import temporal
 from adaptls.corpus import sentence_split, tokenize
 from adaptls.temporal import extract_date_mentions
 import text_oracle
@@ -44,6 +45,29 @@ TEXT = st.lists(st.one_of(st.sampled_from(CHARS), st.sampled_from(WORDS)), max_s
 )
 ANCHORS = st.dates(min_value=date(1990, 1, 1), max_value=date(2030, 12, 31))
 
+# ASCII-only text, which the scan lowercases and matches case-sensitively.
+ASCII_WORDS = [
+    "March", "SEPT.", "Sept", "sep.", "mAy", "Dec", "dec.", "JUNE", "jun.", "Feb.", "NoV",
+    "ToDaY", "YESTERDAY", "Tomorrow", "today's", "tomorrowland", "to", "day",
+    "marching", "mayor", "decade", "Junebug", "octopus", "augur", "Septic", "janitor",
+    "0", "1", "5", "9", "12", "20", "31", "2021", "1999", "2021-03-05", "2020-02-30",
+    "March 5, 2021", "5 SEPT. 2021", "Dec 31,1999", "30 feb 2020", "mAy 7", "12,",
+    "-", ",", ".", " ", "  ", "\t", "\n", "x", "Q", "_",
+]
+
+
+def _mixed_case(word: str):
+    flips = st.lists(st.booleans(), min_size=len(word), max_size=len(word))
+    return flips.map(lambda up: "".join(c.upper() if u else c for c, u in zip(word, up)))
+
+
+ASCII_TEXT = st.lists(
+    st.sampled_from(ASCII_WORDS).flatmap(
+        lambda word: st.one_of(st.just(word), _mixed_case(word))
+    ),
+    max_size=25,
+).map(" ".join)
+
 
 @settings(max_examples=400)
 @given(TEXT)
@@ -61,6 +85,55 @@ def test_tokenize_matches_character_loop(text):
 @given(TEXT, ANCHORS)
 def test_date_mentions_match_ungated_scan(text, anchor):
     assert extract_date_mentions(text, anchor) == text_oracle.extract_date_mentions(text, anchor)
+
+
+@settings(max_examples=600)
+@given(ASCII_TEXT, ANCHORS)
+def test_ascii_date_mentions_match_ungated_scan(text, anchor):
+    assert text.isascii()
+    assert extract_date_mentions(text, anchor) == text_oracle.extract_date_mentions(text, anchor)
+
+
+def test_ascii_lowercase_keeps_length_and_classes():
+    # The ASCII scan matches the lowercased sentence with the sentence's own
+    # offsets, so lowercasing must keep each character's length and its
+    # \w, \d and \s class, and IGNORECASE must add no other ASCII match.
+    classes = [re.compile(r"\w"), re.compile(r"\d"), re.compile(r"\s")]
+    for ch in map(chr, range(128)):
+        low = ch.lower()
+        assert len(low) == 1 and low.isascii()
+        assert [bool(c.match(ch)) for c in classes] == [bool(c.match(low)) for c in classes]
+        for letter in "abcdefghijklmnopqrstuvwxyz":
+            assert bool(re.match(letter, ch, re.IGNORECASE)) == (low == letter)
+
+
+def test_prefilters_pass_every_word():
+    for word in filter(str.isascii, temporal._REL_OFFSETS):
+        [mention] = extract_date_mentions(f"It was {word.upper()}.", date(2021, 1, 1))
+        assert mention.kind == "relative"
+    for word in temporal._MONTHS:
+        assert temporal._MONTH_STEM_RE.search(word)
+
+
+def test_non_ascii_sentences_keep_the_ignorecase_scan():
+    # "İ".lower() is two characters, so these sentences must not be lowercased.
+    anchor = date(2021, 9, 10)
+    cases = {
+        "By \u017fept. 5, it was over.": [((3, 10), date(2021, 9, 5), "partial")],
+        "Due Apr\u0130l 3, 2021 or ye\u017fterday.": [
+            ((4, 17), date(2021, 4, 3), "explicit"),
+            ((21, 30), date(2021, 9, 9), "relative"),
+        ],
+        "Aprİl 3 and 昨天": [
+            ((0, 7), date(2021, 4, 3), "partial"),
+            ((12, 14), date(2021, 9, 9), "relative"),
+        ],
+    }
+    for text, expected in cases.items():
+        assert not text.isascii()
+        got = extract_date_mentions(text, anchor)
+        assert [(m.span, m.resolved, m.kind) for m in got] == expected
+        assert got == text_oracle.extract_date_mentions(text, anchor)
 
 
 def test_whitespace_class_matches_isspace():
