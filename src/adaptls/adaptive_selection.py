@@ -11,10 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .config import DEFAULT_ALPHA, DEFAULT_SENSITIVITY
 from .errors import EmptyInput, TooFewPoints
-
-DEFAULT_ALPHA = 0.01
-DEFAULT_SENSITIVITY = 1.0
 
 
 @dataclass(frozen=True)

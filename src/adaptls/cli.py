@@ -14,10 +14,22 @@ import json
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from pathlib import Path
 
 from . import adaptive_selection, date_ranking, event_ranking, evaluation
+from .config import (
+    CONSTRAINTS,
+    DATE_METHODS,
+    DEFAULT_LAMBDA,
+    FIELD_NAMES,
+    K_POLICIES,
+    METHODS,
+    SUMMARIZERS,
+    RunConfig,
+    check_number,
+    read_config,
+)
 from .corpus import (
     Timeline,
     Topic,
@@ -33,77 +45,18 @@ from .errors import (
     ParseError,
     UnknownTopic,
 )
-from .summarizer import KPolicy, build_timeline, expert_k
+from .summarizer import build_timeline, expert_k
 from .temporal import annotate_topic
 from .tfidf import build_vectorizer
 
-DATE_METHODS = ("datewise", "adprm-d")
-EVENT_METHODS = ("clust", "adprm-e")
-BASELINE_METHODS = ("datewise", "clust")
 
-
-def _check_count(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-
-
-@dataclass
-class RunConfig:
-    dataset_dir: str = ""
-    output_dir: str = ""
-    method: str = "adprm-d"
-    constraint: str = "adaptive"  # "base" | "adaptive"
-    k_policy: str = "one"  # "expert" | "one"
-    summarizer: str | None = None  # None = method default
-    regressors_dir: str | None = None
-    alpha: float = adaptive_selection.DEFAULT_ALPHA
-    sensitivity: float = adaptive_selection.DEFAULT_SENSITIVITY
-    c_max: int | None = None
-    graph_threshold: float = event_ranking.DEFAULT_THRESHOLD
-    mcl_expansion: int = event_ranking.DEFAULT_EXPANSION
-    mcl_inflation: float = event_ranking.DEFAULT_INFLATION
-    mcl_max_iter: int = event_ranking.DEFAULT_MAX_ITER
-    mcl_eps: float = event_ranking.DEFAULT_EPS
-    mcl_prune: float = event_ranking.DEFAULT_PRUNE
-    l2_lambda: float = date_ranking.DEFAULT_LAMBDA
-    use_query_filter: bool = False
-    jobs: int = 1
-
-    def validate(self) -> None:
-        if self.method not in DATE_METHODS + EVENT_METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
-        if self.constraint not in ("base", "adaptive"):
-            raise ValueError(f"unknown constraint {self.constraint!r}")
-        if self.k_policy not in ("expert", "one"):
-            raise ValueError(f"unknown k policy {self.k_policy!r}")
-        if self.method in BASELINE_METHODS and self.constraint != "base":
-            raise ValueError(
-                f"{self.method} is a fixed-constraint baseline; use constraint=base"
-            )
-        if self.summarizer not in (None, "rank", "opt"):
-            raise ValueError(f"unknown summarizer {self.summarizer!r}")
-        if self.c_max is not None:
-            _check_count("c_max", self.c_max)
-        _check_count("jobs", self.jobs)
-
-    def effective_summarizer(self) -> str:
-        if self.summarizer is not None:
-            return self.summarizer
-        return "opt" if self.method in BASELINE_METHODS else "rank"
-
-
-def _load_config(args, fields) -> RunConfig:
-    config = RunConfig()
-    if getattr(args, "config", None):
-        obj = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        for key, value in obj.items():
-            if not hasattr(config, key):
-                raise ValueError(f"unknown config key {key!r}")
-            setattr(config, key, value)
-    for field_name in fields:
-        value = getattr(args, field_name, None)
+def _load_config(args) -> RunConfig:
+    """The --config file (or the defaults) overridden by the given flags, checked."""
+    config = read_config(args.config) if args.config else RunConfig()
+    for name in FIELD_NAMES:
+        value = getattr(args, name)
         if value is not None:
-            setattr(config, field_name, value)
+            setattr(config, name, value)
     config.validate()
     return config
 
@@ -169,58 +122,60 @@ def _select_top(items, limit: int):
     return selected
 
 
+def _choose_length(items, config: RunConfig):
+    """(l, curve, knee) of the ranked items under the configured knee options."""
+    return adaptive_selection.choose_length(
+        [(day, score) for day, _, score in items],
+        alpha=config.alpha,
+        sensitivity=config.sensitivity,
+        c_max=config.c_max,
+    )
+
+
 def _run_topic(topic: Topic, config: RunConfig):
-    """Generate one timeline per reference timeline of the topic."""
+    """Generate one timeline per reference timeline of the topic.
+
+    The adaptive constraint builds one timeline of the knee's length l, with
+    k = 1 or the expert k of all the topic's references.  The base
+    constraint builds one per reference, with that reference's length and
+    expert k.
+    """
     topic = _prepare(topic, config)
     vec = build_vectorizer(topic)
     items = _score_items(topic, config, vec)
     summarizer = config.effective_summarizer()
+    adaptive = config.constraint == "adaptive"
+    if adaptive:
+        l, _, point = _choose_length(items, config)
+        knee = {
+            "c_star": point.c_star,
+            "difference": point.difference,
+            "fallback_used": point.fallback_used,
+        }
+        k = expert_k(topic.reference_timelines) if config.k_policy == "expert" else 1
 
     outputs = []
-    if config.constraint == "adaptive":
-        l, _, knee = adaptive_selection.choose_length(
-            [(day, score) for day, _, score in items],
-            alpha=config.alpha,
-            sensitivity=config.sensitivity,
-            c_max=config.c_max,
+    timeline = None
+    for reference in topic.reference_timelines:
+        if not adaptive:
+            l, k, knee = reference.length, expert_k([reference]), None
+        if timeline is None or not adaptive:
+            timeline = build_timeline(topic, _select_top(items, l), k, summarizer, vec)
+        outputs.append(
+            {
+                "topic": topic.name,
+                "reference": reference.name,
+                "timeline": timeline.to_json_obj(),
+                "l": l,
+                "k": k,
+                "knee": knee,
+            }
         )
-        kpolicy = KPolicy.expert() if config.k_policy == "expert" else KPolicy.one()
-        selected = _select_top(items, l)
-        timeline = build_timeline(topic, selected, kpolicy, summarizer, vec)
-        for reference in topic.reference_timelines:
-            outputs.append(
-                {
-                    "topic": topic.name,
-                    "reference": reference.name,
-                    "timeline": timeline.to_json_obj(),
-                    "l": l,
-                    "k": kpolicy.resolve(topic),
-                    "knee": {
-                        "c_star": knee.c_star,
-                        "difference": knee.difference,
-                        "fallback_used": knee.fallback_used,
-                    },
-                }
-            )
-    else:
-        for reference in topic.reference_timelines:
-            kpolicy = KPolicy.fixed(expert_k([reference]))
-            selected = _select_top(items, reference.length)
-            timeline = build_timeline(topic, selected, kpolicy, summarizer, vec)
-            outputs.append(
-                {
-                    "topic": topic.name,
-                    "reference": reference.name,
-                    "timeline": timeline.to_json_obj(),
-                    "l": reference.length,
-                    "k": kpolicy.resolve(topic),
-                    "knee": None,
-                }
-            )
     return outputs
 
 
 def cmd_train(args) -> int:
+    check_number("lambda", args.l2_lambda)
     dataset = load_dataset(args.dataset)
     if len(dataset) < 2:
         raise InsufficientTopics(
@@ -241,39 +196,18 @@ def cmd_train(args) -> int:
     return 0
 
 
-_RUN_FIELDS = (
-    "dataset_dir",
-    "output_dir",
-    "method",
-    "constraint",
-    "k_policy",
-    "summarizer",
-    "regressors_dir",
-    "alpha",
-    "sensitivity",
-    "c_max",
-    "graph_threshold",
-    "mcl_expansion",
-    "mcl_inflation",
-    "mcl_max_iter",
-    "mcl_eps",
-    "mcl_prune",
-    "l2_lambda",
-    "use_query_filter",
-    "jobs",
-)
-
-
 def cmd_run(args) -> int:
-    config = _load_config(args, _RUN_FIELDS)
+    config = _load_config(args)
     if not config.dataset_dir or not config.output_dir:
         raise ValueError("run needs --dataset-dir and --output-dir")
     dataset = load_dataset(config.dataset_dir)
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+    # A fork pool starts all its workers at the first task: never more than topics.
+    workers = min(config.jobs, len(dataset))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             per_topic = list(
                 pool.map(_run_topic, dataset, [config] * len(dataset))
             )
@@ -354,7 +288,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_knee_curve(args) -> int:
-    config = _load_config(args, _RUN_FIELDS)
+    config = _load_config(args)
     if not config.dataset_dir:
         raise ValueError("knee-curve needs --dataset-dir")
     dataset = load_dataset(config.dataset_dir)
@@ -364,12 +298,7 @@ def cmd_knee_curve(args) -> int:
     topic = _prepare(matches[0], config)
     items = _score_items(topic, config)
 
-    l, curve, knee = adaptive_selection.choose_length(
-        [(day, score) for day, _, score in items],
-        alpha=config.alpha,
-        sensitivity=config.sensitivity,
-        c_max=config.c_max,
-    )
+    l, curve, knee = _choose_length(items, config)
     references = topic.reference_timelines
     header = ["c", "sc", "is_knee"] + [
         f"date_f1__{_safe_name(ref.name)}" for ref in references
@@ -397,14 +326,10 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file; flags override it")
     parser.add_argument("--dataset-dir", dest="dataset_dir")
     parser.add_argument("--output-dir", dest="output_dir")
-    parser.add_argument(
-        "--method", choices=DATE_METHODS + EVENT_METHODS, dest="method"
-    )
-    parser.add_argument(
-        "--constraint", choices=("base", "adaptive"), dest="constraint"
-    )
-    parser.add_argument("--k-policy", choices=("expert", "one"), dest="k_policy")
-    parser.add_argument("--summarizer", choices=("rank", "opt"), dest="summarizer")
+    parser.add_argument("--method", choices=METHODS, dest="method")
+    parser.add_argument("--constraint", choices=CONSTRAINTS, dest="constraint")
+    parser.add_argument("--k-policy", choices=K_POLICIES, dest="k_policy")
+    parser.add_argument("--summarizer", choices=SUMMARIZERS, dest="summarizer")
     parser.add_argument("--regressors", dest="regressors_dir")
     parser.add_argument("--alpha", type=float, dest="alpha")
     parser.add_argument("--sensitivity", type=float, dest="sensitivity")
@@ -415,7 +340,6 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--mcl-max-iter", type=int, dest="mcl_max_iter")
     parser.add_argument("--mcl-eps", type=float, dest="mcl_eps")
     parser.add_argument("--mcl-prune", type=float, dest="mcl_prune")
-    parser.add_argument("--lambda", type=float, dest="l2_lambda")
     parser.add_argument(
         "--use-query-filter", action="store_const", const=True,
         dest="use_query_filter",
@@ -434,8 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("dataset")
     p_train.add_argument("--out", required=True)
     p_train.add_argument(
-        "--lambda", type=float, default=date_ranking.DEFAULT_LAMBDA,
-        dest="l2_lambda",
+        "--lambda", type=float, default=DEFAULT_LAMBDA, dest="l2_lambda"
     )
     p_train.set_defaults(func=cmd_train)
 

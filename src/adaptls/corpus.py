@@ -313,32 +313,6 @@ def load_topic(dir_path) -> Topic:
     return Topic(dir_path.name, articles, queries, timelines)
 
 
-def save_topic(topic: Topic, dir_path) -> None:
-    """Write a topic back out in the dataset directory layout."""
-    dir_path = Path(dir_path)
-    dir_path.mkdir(parents=True, exist_ok=True)
-    with (dir_path / "articles.jsonl").open("w", encoding="utf-8") as handle:
-        for article in topic.articles:
-            obj = {
-                "id": article.id,
-                "publish_date": article.publish_date.isoformat(),
-                "title": article.title,
-                "text": " ".join(s.raw for s in article.sentences),
-                "pretokenized": [list(s.tokens) for s in article.sentences],
-            }
-            handle.write(json.dumps(obj, ensure_ascii=False) + "\n")
-    with (dir_path / "timelines.jsonl").open("w", encoding="utf-8") as handle:
-        for timeline in topic.reference_timelines:
-            handle.write(
-                json.dumps(timeline.to_json_obj(), ensure_ascii=False) + "\n"
-            )
-    if topic.queries:
-        (dir_path / "keywords.json").write_text(
-            json.dumps({"queries": topic.queries}, ensure_ascii=False),
-            encoding="utf-8",
-        )
-
-
 def _topic_dirs(root) -> list[Path]:
     """The topic directories under `root`: those holding ``articles.jsonl``, sorted."""
     root = Path(root)

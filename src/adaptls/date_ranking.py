@@ -15,11 +15,11 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import DEFAULT_LAMBDA, is_finite_number
 from .corpus import Topic
 from .errors import EmptyDataset, ParseError, SingularSystem
 from .temporal import DateCandidate, candidate_dates
 
-DEFAULT_LAMBDA = 1.0
 N_FEATURES = 9  # columns of feature_matrix
 
 
@@ -69,15 +69,6 @@ def feature_matrix(topic: Topic) -> tuple[list[DateCandidate], np.ndarray]:
     return candidates, np.array(rows)
 
 
-def _is_finite_number(value) -> bool:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an integer too large for a float
-        return False
-
-
 @dataclass(frozen=True)
 class Regressor:
     weights: np.ndarray  # shape (N_FEATURES,)
@@ -112,7 +103,7 @@ class Regressor:
         weights = obj["weights"]
         if not (isinstance(weights, list) and len(weights) == N_FEATURES):
             raise ParseError(f"{path}: 'weights' must be a list of {N_FEATURES} numbers")
-        if not all(map(_is_finite_number, weights + [obj["bias"], obj["lambda"]])):
+        if not all(map(is_finite_number, weights + [obj["bias"], obj["lambda"]])):
             raise ParseError(f"{path}: weights, bias and lambda must be finite numbers")
         return Regressor(
             np.array(weights, dtype=float), float(obj["bias"]), float(obj["lambda"])

@@ -15,16 +15,18 @@ from datetime import date as Date
 
 import numpy as np
 
+from .config import (
+    DEFAULT_EPS,
+    DEFAULT_EXPANSION,
+    DEFAULT_INFLATION,
+    DEFAULT_MAX_ITER,
+    DEFAULT_PRUNE,
+    DEFAULT_THRESHOLD,
+)
 from .corpus import Topic, tokenize
 from .errors import EmptyCorpus
+from .temporal import date_window
 from .tfidf import Vectorizer, build_vectorizer
-
-DEFAULT_THRESHOLD = 0.1
-DEFAULT_EXPANSION = 2
-DEFAULT_INFLATION = 2.0
-DEFAULT_MAX_ITER = 100
-DEFAULT_EPS = 1e-6
-DEFAULT_PRUNE = 1e-5
 
 LEAD_SENTENCES = 5
 
@@ -104,7 +106,7 @@ def markov_cluster(
     """
     if expansion < 2:
         raise ValueError("expansion must be >= 2")
-    if inflation <= 1.0:
+    if not inflation > 1.0:  # NaN included
         raise ValueError("inflation must be > 1")
 
     M = _normalize_columns(graph.weights.astype(float))
@@ -151,18 +153,21 @@ def markov_cluster(
 
 
 def _date_occurrences(nodes, topic: Topic) -> dict[Date, int]:
+    in_window = date_window(topic)
     counts: dict[Date, int] = {}
     for node in nodes:
         article = topic.articles[node]
         counts[article.publish_date] = counts.get(article.publish_date, 0) + 1
         for sentence in article.sentences:
             for mention in sentence.mentions:
-                counts[mention.resolved] = counts.get(mention.resolved, 0) + 1
+                if in_window(mention.resolved):
+                    counts[mention.resolved] = counts.get(mention.resolved, 0) + 1
     return counts
 
 
 def assign_event_date(cluster_nodes, topic: Topic) -> Date:
-    """Most frequent date among the cluster's mentions and publish dates.
+    """Most frequent date among the cluster's publish dates and its mentions
+    inside the topic's `date_window`, so always a candidate date.
 
     Ties go to the earlier date.
     """

@@ -3,46 +3,17 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from datetime import date as Date
 
 import numpy as np
 
+from .config import SUMMARIZERS
 from .corpus import Timeline, Topic
 from .errors import EmptyTimeline
 from .event_ranking import EventCluster
 from .tfidf import Rows, Vectorizer
 
 REDUNDANCY_THRESHOLD = 0.8
-
-
-@dataclass(frozen=True)
-class KPolicy:
-    """How many sentences go into each daily summary."""
-
-    variant: str  # "expert" | "fixed_one" | "fixed"
-    k: int | None = None
-
-    @staticmethod
-    def expert() -> "KPolicy":
-        return KPolicy("expert")
-
-    @staticmethod
-    def one() -> "KPolicy":
-        return KPolicy("fixed_one")
-
-    @staticmethod
-    def fixed(k: int) -> "KPolicy":
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        return KPolicy("fixed", k)
-
-    def resolve(self, topic: Topic) -> int:
-        if self.variant == "fixed_one":
-            return 1
-        if self.variant == "fixed":
-            return self.k
-        return expert_k(topic.reference_timelines)
 
 
 def expert_k(timelines: list[Timeline]) -> int:
@@ -139,22 +110,21 @@ def centroid_opt(rows: list[int], vec: Vectorizer, k: int) -> list[int]:
 def build_timeline(
     topic: Topic,
     selected: list[tuple[Date, EventCluster | None]],
-    kpolicy: KPolicy,
+    k: int,
     method: str,
     vec: Vectorizer,
     name: str = "generated",
 ) -> Timeline:
-    """Summarize each selected date into a timeline entry.
+    """Summarize each selected date into a timeline entry of at most `k` sentences.
 
     `method` is "rank" (centroid-rank) or "opt" (centroid-opt).  For event
     selections the candidate pool is the cluster's own sentences plus
     sentences elsewhere that mention the event date.  Dates with no
     candidates are dropped.
     """
-    if method not in ("rank", "opt"):
+    if method not in SUMMARIZERS:
         raise ValueError(f"unknown summarizer method {method!r}")
     summarize = centroid_rank if method == "rank" else centroid_opt
-    k = kpolicy.resolve(topic)
     entries = []
     for day, cluster in selected:
         if cluster is None:

@@ -8,6 +8,7 @@ relative words.  Anything it cannot parse is skipped, never guessed.
 from __future__ import annotations
 
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
 from datetime import date as Date, timedelta
 
@@ -187,16 +188,26 @@ def annotate_topic(topic: Topic) -> Topic:
     return topic
 
 
+def date_window(topic: Topic) -> Callable[[Date], bool]:
+    """Whether a mentioned date counts: inside [min_pub - LOOKBACK_DAYS, max_pub].
+
+    Candidate dates and event dating both count only such mentions, so an
+    event is always dated on a candidate.  Publication dates lie inside.
+    """
+    lo = topic.min_pub - timedelta(days=LOOKBACK_DAYS)
+    hi = topic.max_pub
+    return lambda day: lo <= day <= hi
+
+
 def candidate_dates(topic: Topic) -> list[DateCandidate]:
     """Enumerate candidate dates from publication dates and date mentions.
 
-    Mentions are kept only inside [min_pub - LOOKBACK_DAYS, max_pub];
-    publication dates always qualify.  Requires annotate_topic to have run.
+    Mentions count only inside `date_window`; publication dates always
+    qualify.  Requires annotate_topic to have run.
     """
     if not topic.articles:
         raise EmptyCorpus(f"topic {topic.name!r} has no articles")
-    lo = topic.min_pub - timedelta(days=LOOKBACK_DAYS)
-    hi = topic.max_pub
+    in_window = date_window(topic)
 
     pub_articles: dict[Date, int] = {}
     pub_sentences: dict[Date, int] = {}
@@ -207,7 +218,7 @@ def candidate_dates(topic: Topic) -> list[DateCandidate]:
         pub_sentences[day] = pub_sentences.get(day, 0) + len(article.sentences)
         for sentence in article.sentences:
             for mention in sentence.mentions:
-                if lo <= mention.resolved <= hi:
+                if in_window(mention.resolved):
                     mention_counts[mention.resolved] = (
                         mention_counts.get(mention.resolved, 0) + 1
                     )

@@ -4,11 +4,13 @@ Each planted date gets several articles published on the day whose sentences
 repeatedly mention it, so a trained date regressor scores it far above the
 thin single-article noise dates.  The reference timeline lists exactly the
 planted dates, which makes the expected outcome of an end-to-end run known
-by construction.
+by construction.  `save_topic` writes a topic out as a dataset directory.
 """
 
+import json
 import random
 from datetime import date as Date, timedelta
+from pathlib import Path
 
 from adaptls.corpus import Article, Sentence, Timeline, Topic, tokenize
 from adaptls.temporal import annotate_topic
@@ -107,3 +109,29 @@ def planted_topics(n_topics: int = 3, seed: int = 7) -> list[Topic]:
             )
         )
     return topics
+
+
+def save_topic(topic: Topic, dir_path) -> None:
+    """Write a topic back out in the dataset directory layout."""
+    dir_path = Path(dir_path)
+    dir_path.mkdir(parents=True, exist_ok=True)
+    with (dir_path / "articles.jsonl").open("w", encoding="utf-8") as handle:
+        for article in topic.articles:
+            obj = {
+                "id": article.id,
+                "publish_date": article.publish_date.isoformat(),
+                "title": article.title,
+                "text": " ".join(s.raw for s in article.sentences),
+                "pretokenized": [list(s.tokens) for s in article.sentences],
+            }
+            handle.write(json.dumps(obj, ensure_ascii=False) + "\n")
+    with (dir_path / "timelines.jsonl").open("w", encoding="utf-8") as handle:
+        for timeline in topic.reference_timelines:
+            handle.write(
+                json.dumps(timeline.to_json_obj(), ensure_ascii=False) + "\n"
+            )
+    if topic.queries:
+        (dir_path / "keywords.json").write_text(
+            json.dumps({"queries": topic.queries}, ensure_ascii=False),
+            encoding="utf-8",
+        )

@@ -24,7 +24,7 @@ from adaptls.adaptive_selection import (
     sc_curve,
 )
 from adaptls.cli import main
-from adaptls.corpus import Timeline, save_topic
+from adaptls.corpus import Timeline
 from adaptls.evaluation import (
     PRF,
     align_rouge_f1,
@@ -36,7 +36,7 @@ from adaptls.event_ranking import SimilarityGraph, markov_cluster
 
 import numpy as np
 
-from synthdata import planted_topics
+from synthdata import planted_topics, save_topic
 
 
 def _verdict(capsys, number, label, passed):

@@ -1,18 +1,20 @@
 import csv
 import json
+import random
+import shutil
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from adaptls.cli import main
-from synthdata import planted_topics
+from adaptls.config import CONSTRAINTS, FIELD_NAMES, K_POLICIES, METHODS, SUMMARIZERS
+from synthdata import planted_topics, save_topic
 
 
 @pytest.fixture(scope="session")
 def planted_dir(tmp_path_factory):
     """The synthetic planted-burst dataset written to disk once per session."""
-    from adaptls.corpus import save_topic
-
     root = tmp_path_factory.mktemp("planted")
     for topic in planted_topics():
         save_topic(topic, root / topic.name)
@@ -42,8 +44,6 @@ class TestTrain:
             assert "bias" in obj and "lambda" in obj
 
     def test_single_topic_dataset_rejected(self, tmp_path, capsys):
-        from adaptls.corpus import save_topic
-
         topic = planted_topics(n_topics=1)[0]
         root = tmp_path / "ds"
         save_topic(topic, root / topic.name)
@@ -52,8 +52,6 @@ class TestTrain:
         assert err["error"] == "InsufficientTopics"
 
     def test_dataset_without_reference_timelines_rejected(self, tmp_path, capsys):
-        from adaptls.corpus import save_topic
-
         for topic in planted_topics(n_topics=2):
             topic.reference_timelines = []
             save_topic(topic, tmp_path / "ds" / topic.name)
@@ -159,6 +157,79 @@ class TestRunAdaptive:
         assert "regressors" in err["message"]
 
 
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+class TestJobs:
+    @pytest.mark.parametrize("jobs, topics, workers", [("64", 3, [3]), ("2", 3, [2]), ("4", 1, [])])
+    def test_pool_never_larger_than_the_topics(self, mini_dir, tmp_path, monkeypatch, jobs, topics, workers):
+        monkeypatch.setattr("adaptls.cli.ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(_RecordingPool, "sizes", [])
+        root = tmp_path / "ds"
+        for topic in sorted(mini_dir.iterdir())[:topics]:
+            shutil.copytree(topic, root / topic.name)
+        argv = ["run", "--dataset-dir", str(root), "--method", "adprm-e"]
+        assert main(argv + ["--output-dir", str(tmp_path / "pool"), "--jobs", jobs]) == 0
+        assert _RecordingPool.sizes == workers  # [] = served in this process
+        assert main(argv + ["--output-dir", str(tmp_path / "serial")]) == 0
+        for path in (tmp_path / "serial").iterdir():
+            if path.name != "manifest.json":
+                assert path.read_bytes() == (tmp_path / "pool" / path.name).read_bytes()
+
+
+def _shuffled_copy(src: Path, dst: Path, seed: int) -> Path:
+    """`src` with the lines of every articles.jsonl in a seeded random order."""
+    shutil.copytree(src, dst)
+    rng = random.Random(seed)
+    for path in sorted(dst.glob("*/articles.jsonl")):
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        rng.shuffle(lines)
+        path.write_text("".join(lines), encoding="utf-8")
+    return dst
+
+
+class TestArticleOrder:
+    def test_shuffled_articles_give_identical_outputs(self, planted_dir, tmp_path):
+        datasets = {
+            "sorted": planted_dir,
+            "shuffled": _shuffled_copy(planted_dir, tmp_path / "shuffled", seed=3),
+        }
+        assert (datasets["shuffled"] / "synth0" / "articles.jsonl").read_bytes() != (
+            planted_dir / "synth0" / "articles.jsonl"
+        ).read_bytes()
+        files = {}
+        for name, root in datasets.items():
+            out = tmp_path / name
+            assert main(["train", str(root), "--out", str(out / "reg")]) == 0
+            for method in ("adprm-d", "adprm-e"):
+                run = out / method
+                argv = ["run", "--dataset-dir", str(root), "--output-dir", str(run), "--method", method]
+                assert main(argv + ["--regressors", str(out / "reg")]) == 0
+                assert main(["eval", "--pred", str(run), "--dataset", str(root)]) == 0
+            files[name] = {
+                str(path.relative_to(out)): path.read_bytes()
+                for path in sorted(out.rglob("*.json"))
+                if path.name != "manifest.json"
+            }
+        assert len(files["sorted"]) == 3 + 2 * (3 + 1)  # regressors; timelines and report
+        assert files["sorted"] == files["shuffled"]
+
+
 class TestRunBase:
     def test_length_matches_each_reference(self, planted_dir, trained_dir, tmp_path):
         out = tmp_path / "out"
@@ -173,7 +244,7 @@ class TestRunBase:
             assert len(timeline["entries"]) == 5
 
     def test_k_is_each_reference_own_rounded_mean(self, tmp_path):
-        from adaptls.corpus import Timeline, save_topic
+        from adaptls.corpus import Timeline
 
         topic = planted_topics(n_topics=1)[0]
         days = topic.reference_timelines[0].dates()[:4]
@@ -378,6 +449,46 @@ class TestKneeCurve:
         assert main(argv) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "UnknownTopic"
+
+
+_CONFIG_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 120),
+    st.floats(),
+    st.text(max_size=3),
+    st.sampled_from(METHODS + CONSTRAINTS + K_POLICIES + SUMMARIZERS),
+    st.lists(st.integers(0, 3), max_size=2),
+)
+# Values each field accepts.
+_VALID_VALUES = {
+    "method": st.sampled_from(METHODS),
+    "constraint": st.sampled_from(CONSTRAINTS),
+    "k_policy": st.sampled_from(K_POLICIES),
+    "summarizer": st.sampled_from((None,) + SUMMARIZERS),
+    "alpha": st.floats(0, 10),
+    "sensitivity": st.floats(0, 5),
+    "c_max": st.one_of(st.none(), st.integers(1, 20)),
+    "graph_threshold": st.floats(0, 1),
+    "mcl_expansion": st.integers(2, 4),
+    "mcl_inflation": st.floats(1, 4, exclude_min=True),
+    "mcl_max_iter": st.integers(1, 50),
+    "mcl_eps": st.floats(0, 1, exclude_min=True),
+    "mcl_prune": st.floats(0, 1, exclude_max=True),
+    "use_query_filter": st.booleans(),
+}
+
+
+@st.composite
+def _configs(draw, regressors_dir: str):
+    """A JSON value; mostly an object of valid values, up to two of them arbitrary."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(_CONFIG_VALUES)
+    valid = dict(_VALID_VALUES, regressors_dir=st.just(regressors_dir))
+    config = draw(st.fixed_dictionaries({}, optional=valid))
+    for name in draw(st.lists(st.sampled_from(FIELD_NAMES), max_size=2)):
+        config[name] = draw(_CONFIG_VALUES)
+    return config
 
 
 ARTICLE = {"id": "a1", "publish_date": "2021-03-01", "title": "Flood", "text": "A flood hit. Crews came."}
@@ -594,6 +705,79 @@ class TestMalformedInput:
         assert err["error"] == "ValueError"
         assert "must be an integer >= 1" in err["message"]
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "flags, config, error",
+        [
+            ([], "[]", "ParseError"),
+            ([], '{"alpha": "x"}', "ValueError"),
+            ([], None, "NotFound"),
+            ([], b'{"alpha": "\xff"}', "ParseError"),
+            ([], '{"use_query_filter": "no"}', "ValueError"),
+            ([], '{"alpha": 1e999}', "ValueError"),
+            ([], '{"l2_lambda": 1}', "ValueError"),
+            (["--alpha", "nan"], "", "ValueError"),
+            (["--alpha", "-1"], "", "ValueError"),
+            (["--sensitivity", "-5"], "", "ValueError"),
+            (["--graph-threshold", "2"], "", "ValueError"),
+            (["--mcl-max-iter", "0"], "", "ValueError"),
+            (["--mcl-inflation", "nan"], "", "ValueError"),
+            (["--mcl-eps", "-1"], "", "ValueError"),
+            (["--mcl-prune", "2"], "", "ValueError"),
+        ],
+        ids=[
+            "config-array", "config-string-alpha", "config-missing", "config-not-utf8",
+            "config-string-flag", "config-inf-alpha", "config-l2-lambda", "nan-alpha",
+            "negative-alpha", "negative-sensitivity", "threshold-2", "max-iter-0",
+            "nan-inflation", "negative-eps", "prune-2",
+        ],
+    )
+    def test_run_options_checked(self, tmp_path, capsys, flags, config, error):
+        root = _write_topic(tmp_path / "ds")
+        argv = _run_argv(tmp_path, root, "--method", "adprm-e", *flags)
+        if config != "":
+            path = tmp_path / "config.json"
+            if config is not None:
+                path.write_bytes(config if isinstance(config, bytes) else config.encode())
+            argv += ["--config", str(path)]
+        assert main(argv) == 1
+        assert _one_json_error(capsys)["error"] == error
+        assert not (tmp_path / "out").exists()
+
+    def test_train_lambda_checked(self, planted_dir, tmp_path, capsys):
+        assert main(["train", str(planted_dir), "--out", str(tmp_path / "out"), "--lambda", "-1"]) == 1
+        assert "lambda must be a finite number >= 0" in _one_json_error(capsys)["message"]
+        assert not (tmp_path / "out").exists()
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_any_config_file_exits_cleanly(self, tmp_path, capsys, data):
+        """Any JSON config runs (exit 0) or is refused with one JSON line (exit 1)."""
+        root = tmp_path / "ds"
+        regressors = tmp_path / "reg"
+        if not root.exists():
+            _write_topic(root)
+            regressors.mkdir()
+            (regressors / "regressor_t.json").write_text(
+                json.dumps({"weights": [1, 0, 0, 0, 0, 0, 0, 0, 0.5], "bias": -1, "lambda": 1})
+            )
+        config = data.draw(_configs(str(regressors)))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        capsys.readouterr()
+        # --jobs 1 on the command line: no generated `jobs` starts a pool.
+        code = main(_run_argv(tmp_path, root, "--config", str(path), "--jobs", "1"))
+        err = capsys.readouterr().err
+        if code == 0:
+            assert err == ""
+        else:
+            assert code == 1
+            assert len(err.splitlines()) == 1
+            assert set(json.loads(err)) == {"error", "message"}
 
     def test_valid_topic_and_prediction_pass(self, tmp_path, capsys):
         root = _write_topic(tmp_path / "ds", keywords='{"queries": ["flood"]}')

@@ -12,13 +12,13 @@ from adaptls.corpus import (
     load_dataset,
     load_references,
     load_topic,
-    save_topic,
     sentence_split,
     tokenize,
 )
 from adaptls.errors import EmptyCorpus, NotFound, ParseError
 from adaptls.temporal import annotate_topic
 from adaptls.tfidf import build_vectorizer
+from synthdata import save_topic
 import tfidf_oracle
 
 

@@ -16,7 +16,7 @@ from adaptls.event_ranking import (
     markov_cluster,
     score_events,
 )
-from adaptls.temporal import annotate_topic
+from adaptls.temporal import annotate_topic, candidate_dates
 from adaptls.tfidf import build_vectorizer
 import tfidf_oracle
 
@@ -215,6 +215,19 @@ class TestEventDating:
         topic = _topic(specs)
         # both dates occur once; earlier wins
         assert assign_event_date({0, 1}, topic) == date(2020, 1, 2)
+
+    @pytest.mark.parametrize("mentioned", ["2020-06-01", "2009-12-01"])
+    def test_mentions_outside_the_date_window_are_not_counted(self, mentioned):
+        # Most mentions name a day after the last publication date, or more
+        # than LOOKBACK_DAYS before the first one: no candidate date.
+        specs = [
+            (date(2020, 1, 1), "plan", [f"Opening set for {mentioned}.", f"Again {mentioned}."]),
+            (date(2020, 1, 2), "plan", [f"Tickets for {mentioned} sold."]),
+        ]
+        topic = _topic(specs)
+        day = assign_event_date({0, 1}, topic)
+        assert day == date(2020, 1, 1)
+        assert day in {c.date for c in candidate_dates(topic)}
 
 
 class TestScoreEvents:

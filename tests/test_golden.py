@@ -13,8 +13,7 @@ from pathlib import Path
 import pytest
 
 from adaptls.cli import main
-from adaptls.corpus import save_topic
-from synthdata import planted_topics
+from synthdata import planted_topics, save_topic
 
 MINI_DIR = Path(__file__).parent / "data" / "mini"
 

@@ -7,7 +7,6 @@ from adaptls.corpus import Article, Sentence, Timeline, Topic, tokenize
 from adaptls.errors import EmptyTimeline
 from adaptls.event_ranking import EventCluster
 from adaptls.summarizer import (
-    KPolicy,
     build_timeline,
     candidate_sentences,
     centroid_opt,
@@ -29,15 +28,7 @@ def _topic(article_specs, timelines=()):
 
 
 class TestKPolicy:
-    def test_fixed_one(self):
-        assert KPolicy.one().resolve(_topic([(date(2020, 1, 1), ["A."])])) == 1
-
-    def test_fixed_k(self):
-        assert KPolicy.fixed(3).resolve(_topic([(date(2020, 1, 1), ["A."])])) == 3
-
-    def test_fixed_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            KPolicy.fixed(0)
+    """The expert k policy: `expert_k` of the topic's reference timelines."""
 
     def test_expert_rounds_mean_daily_length(self):
         timeline = Timeline(
@@ -49,10 +40,10 @@ class TestKPolicy:
         )
         topic = _topic([(date(2020, 1, 1), ["A."])], [timeline])
         # mean daily length (2 + 3) / 2 = 2.5 rounds up to 3
-        assert KPolicy.expert().resolve(topic) == 3
+        assert expert_k(topic.reference_timelines) == 3
 
     def test_expert_without_references_defaults_to_one(self):
-        assert KPolicy.expert().resolve(_topic([(date(2020, 1, 1), ["A."])])) == 1
+        assert expert_k(_topic([(date(2020, 1, 1), ["A."])]).reference_timelines) == 1
 
     def test_expert_k_per_timeline_and_pooled(self):
         def timeline(sizes):
@@ -69,7 +60,7 @@ class TestKPolicy:
     def test_expert_never_below_one(self):
         timeline = Timeline("ref", [(date(2020, 1, 1), ["Only."])])
         topic = _topic([(date(2020, 1, 1), ["A."])], [timeline])
-        assert KPolicy.expert().resolve(topic) == 1
+        assert expert_k(topic.reference_timelines) == 1
 
 
 def _candidate_raws(topic, day):
@@ -225,7 +216,7 @@ class TestBuildTimeline:
         )
         vec = build_vectorizer(topic)
         selected = [(date(2020, 1, 1), None), (date(2020, 1, 2), None)]
-        timeline = build_timeline(topic, selected, KPolicy.one(), "rank", vec)
+        timeline = build_timeline(topic, selected, 1, "rank", vec)
         assert [d for d, _ in timeline.entries] == [date(2020, 1, 1), date(2020, 1, 2)]
         assert all(len(summary) == 1 for _, summary in timeline.entries)
 
@@ -233,20 +224,20 @@ class TestBuildTimeline:
         topic = _topic([(date(2020, 1, 1), ["Only day."])])
         vec = build_vectorizer(topic)
         selected = [(date(2020, 1, 1), None), (date(2021, 5, 5), None)]
-        timeline = build_timeline(topic, selected, KPolicy.one(), "rank", vec)
+        timeline = build_timeline(topic, selected, 1, "rank", vec)
         assert [d for d, _ in timeline.entries] == [date(2020, 1, 1)]
 
     def test_all_empty_raises(self):
         topic = _topic([(date(2020, 1, 1), ["Only day."])])
         vec = build_vectorizer(topic)
         with pytest.raises(EmptyTimeline):
-            build_timeline(topic, [(date(2021, 5, 5), None)], KPolicy.one(), "rank", vec)
+            build_timeline(topic, [(date(2021, 5, 5), None)], 1, "rank", vec)
 
     def test_unknown_method_rejected(self):
         topic = _topic([(date(2020, 1, 1), ["Only day."])])
         vec = build_vectorizer(topic)
         with pytest.raises(ValueError):
-            build_timeline(topic, [(date(2020, 1, 1), None)], KPolicy.one(), "best", vec)
+            build_timeline(topic, [(date(2020, 1, 1), None)], 1, "best", vec)
 
     def test_event_cluster_restricts_pool(self):
         topic = _topic(
@@ -260,7 +251,7 @@ class TestBuildTimeline:
         timeline = build_timeline(
             topic,
             [(date(2020, 1, 1), cluster)],
-            KPolicy.fixed(5),
+            5,
             "rank",
             vec,
         )
@@ -276,7 +267,7 @@ class TestBuildTimeline:
         vec = build_vectorizer(topic)
         cluster = EventCluster(frozenset({"a0"}), date(2020, 1, 1), 0)
         timeline = build_timeline(
-            topic, [(date(2020, 1, 1), cluster)], KPolicy.fixed(5), "rank", vec
+            topic, [(date(2020, 1, 1), cluster)], 5, "rank", vec
         )
         assert set(timeline.entries[0][1]) == {
             "Cluster story one.",
@@ -293,7 +284,7 @@ class TestBuildTimeline:
         )
         vec = build_vectorizer(topic)
         selected = [(date(2020, 1, d), None) for d in (1, 2, 3)]
-        timeline = build_timeline(topic, selected, KPolicy.fixed(2), "opt", vec)
+        timeline = build_timeline(topic, selected, 2, "opt", vec)
         assert timeline.length <= 3
         assert timeline.total_sentences <= 3 * 2
 
@@ -306,6 +297,6 @@ class TestBuildTimeline:
         )
         vec = build_vectorizer(topic)
         selected = [(date(2020, 1, 1), None), (date(2020, 1, 2), None)]
-        first = build_timeline(topic, selected, KPolicy.fixed(2), "rank", vec)
-        second = build_timeline(topic, selected, KPolicy.fixed(2), "rank", vec)
+        first = build_timeline(topic, selected, 2, "rank", vec)
+        second = build_timeline(topic, selected, 2, "rank", vec)
         assert first == second
