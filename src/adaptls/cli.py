@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import importlib
 import json
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
 
-from . import adaptive_selection, date_ranking, event_ranking, evaluation
+from . import evaluation
 from .config import (
     CONSTRAINTS,
     DATE_METHODS,
@@ -45,9 +45,41 @@ from .errors import (
     ParseError,
     UnknownTopic,
 )
-from .summarizer import build_timeline, expert_k
-from .temporal import annotate_topic
-from .tfidf import build_vectorizer
+
+# Names bound on first use, each to (module, attribute or None for the module
+# itself).  They load numpy, multiprocessing or the date patterns, none of
+# which `eval` needs.  Each stays an attribute of this module that a caller
+# may replace (bench/tracing.py does), and `_bind` never overwrites one.
+_LAZY = {
+    "adaptive_selection": (".adaptive_selection", None),
+    "date_ranking": (".date_ranking", None),
+    "event_ranking": (".event_ranking", None),
+    "build_timeline": (".summarizer", "build_timeline"),
+    "expert_k": (".summarizer", "expert_k"),
+    "build_vectorizer": (".tfidf", "build_vectorizer"),
+    "annotate_topic": (".temporal", "annotate_topic"),
+    "ProcessPoolExecutor": ("concurrent.futures.process", "ProcessPoolExecutor"),
+}
+_PIPELINE = tuple(name for name in _LAZY if name != "ProcessPoolExecutor")
+
+
+def __getattr__(name: str):
+    """Import a lazy name on first access and keep it as a global (PEP 562)."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module_name, attribute = _LAZY[name]
+    value = importlib.import_module(module_name, __package__)
+    if attribute is not None:
+        value = getattr(value, attribute)
+    globals()[name] = value
+    return value
+
+
+def _bind(names) -> None:
+    """Bind each of the lazy `names` not bound yet; a bound value is kept."""
+    for name in names:
+        if name not in globals():
+            __getattr__(name)
 
 
 def _load_config(args) -> RunConfig:
@@ -140,6 +172,7 @@ def _run_topic(topic: Topic, config: RunConfig):
     constraint builds one per reference, with that reference's length and
     expert k.
     """
+    _bind(_PIPELINE)  # also in a worker of a spawn or forkserver pool
     topic = _prepare(topic, config)
     vec = build_vectorizer(topic)
     items = _score_items(topic, config, vec)
@@ -181,6 +214,7 @@ def cmd_train(args) -> int:
         raise InsufficientTopics(
             "leave-one-topic-out training needs at least 2 topics"
         )
+    _bind(["annotate_topic", "date_ranking"])
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     blocks = {}
@@ -207,6 +241,7 @@ def cmd_run(args) -> int:
     # A fork pool starts all its workers at the first task: never more than topics.
     workers = min(config.jobs, len(dataset))
     if workers > 1:
+        _bind(_LAZY)  # before the fork, so that the workers inherit them
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_topic = list(
                 pool.map(_run_topic, dataset, [config] * len(dataset))
@@ -250,7 +285,7 @@ def _load_prediction(pred_dir: Path, topic_name: str, ref_name: str) -> Timeline
         raise MissingPrediction(f"missing prediction file {path}")
     try:
         obj = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
     return timeline_from_obj(obj, str(path), default_name="generated")
 
@@ -277,6 +312,7 @@ def cmd_eval(args) -> int:
 
 def cmd_stats(args) -> int:
     dataset = load_dataset(args.dataset)
+    _bind(["annotate_topic"])
     for topic in dataset:
         annotate_topic(topic)
     report = evaluation.dataset_stats(dataset)
@@ -295,6 +331,7 @@ def cmd_knee_curve(args) -> int:
     matches = [t for t in dataset if t.name == args.topic]
     if not matches:
         raise UnknownTopic(f"topic {args.topic!r} not in dataset")
+    _bind(_PIPELINE)
     topic = _prepare(matches[0], config)
     items = _score_items(topic, config)
 

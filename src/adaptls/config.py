@@ -146,7 +146,7 @@ def read_config(path) -> RunConfig:
         obj = json.loads(path.read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ParseError(f"{path}: expected a JSON object")

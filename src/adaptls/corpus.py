@@ -184,7 +184,7 @@ def _read_jsonl(path: Path):
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:
                 raise ParseError(
                     f"{path.name}:{line_number}: invalid JSON: {exc}",
                     line_number=line_number,
@@ -304,7 +304,7 @@ def load_topic(dir_path) -> Topic:
     if keywords_path.is_file():
         try:
             obj = json.loads(keywords_path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ParseError(f"keywords.json: invalid JSON: {exc}") from exc
         if not (isinstance(obj, dict) and _is_str_list(obj.get("queries", []))):
             raise ParseError('keywords.json: expected {"queries": [strings]}')

@@ -93,7 +93,7 @@ class Regressor:
         """Read a saved regressor; a malformed file raises ParseError naming it."""
         try:
             obj = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ParseError(f"{path}: invalid JSON: {exc}") from exc
         if not isinstance(obj, dict):
             raise ParseError(f"{path}: expected a JSON object")

@@ -15,7 +15,6 @@ from datetime import date as Date
 
 from .corpus import Timeline, Topic, tokenize
 from .errors import EmptyDataset, EmptyReference, EmptyTimeline
-from .temporal import candidate_dates
 
 
 @dataclass(frozen=True)
@@ -124,11 +123,6 @@ def _align_rouge(pred: Timeline, ref: Timeline, ns) -> list[PRF]:
         )
         scores.append(PRF.from_pr(precision, recall))
     return scores
-
-
-def align_rouge_f1(pred: Timeline, ref: Timeline, n: int) -> PRF:
-    """Align-based ROUGE-n F1 between a generated and a reference timeline."""
-    return _align_rouge(pred, ref, (n,))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +243,8 @@ def dataset_stats(dataset: list[Topic]) -> StatsReport:
     quantities (sentence counts, durations, candidate dates) come from the
     pair's topic.  Requires mentions to be annotated.
     """
+    from .temporal import candidate_dates  # its date patterns are not needed by `eval`
+
     pairs = [
         (topic, timeline)
         for topic in dataset

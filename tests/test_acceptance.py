@@ -27,7 +27,6 @@ from adaptls.cli import main
 from adaptls.corpus import Timeline
 from adaptls.evaluation import (
     PRF,
-    align_rouge_f1,
     dataset_stats,
     date_f1,
     rouge_n,
@@ -36,6 +35,7 @@ from adaptls.event_ranking import SimilarityGraph, markov_cluster
 
 import numpy as np
 
+from align_oracle import align_rouge_f1
 from synthdata import planted_topics, save_topic
 
 

@@ -157,6 +157,15 @@ class TestRunAdaptive:
         assert "regressors" in err["message"]
 
 
+# `adaptls ARGV` with the given pool start method (argv: START ARGV...).
+START_METHOD_MAIN = """
+import multiprocessing, sys
+multiprocessing.set_start_method(sys.argv[1])
+from adaptls.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+
 class _RecordingPool:
     """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
 
@@ -190,6 +199,27 @@ class TestJobs:
         for path in (tmp_path / "serial").iterdir():
             if path.name != "manifest.json":
                 assert path.read_bytes() == (tmp_path / "pool" / path.name).read_bytes()
+
+    @pytest.mark.parametrize("start", ["fork", "forkserver"])
+    @pytest.mark.parametrize("method", ["adprm-d", "adprm-e"])
+    def test_real_pool_matches_serial(self, mini_dir, tmp_path, fresh_python, method, start):
+        """`adaptls run --jobs 2` in a new process starts a real pool of either kind."""
+        out = tmp_path / "out"
+        argv = ["-c", START_METHOD_MAIN, start, "run", "--dataset-dir", str(mini_dir)]
+        argv += ["--output-dir", str(out), "--method", method]
+        if method == "adprm-d":
+            assert main(["train", str(mini_dir), "--out", str(tmp_path / "reg")]) == 0
+            argv += ["--regressors", str(tmp_path / "reg")]
+        outputs = []
+        for jobs in ("1", "2"):
+            shutil.rmtree(out, ignore_errors=True)
+            fresh_python(*argv, "--jobs", jobs)
+            outputs.append({path.name: path.read_bytes() for path in out.iterdir()})
+        serial, pool = outputs
+        manifest = json.loads(serial.pop("manifest.json"))
+        manifest["config"]["jobs"] = 2  # the one difference
+        assert pool.pop("manifest.json").decode() == json.dumps(manifest, ensure_ascii=False, indent=2) + "\n"
+        assert pool == serial and len(serial) == 4
 
 
 def _shuffled_copy(src: Path, dst: Path, seed: int) -> Path:
@@ -778,6 +808,36 @@ class TestMalformedInput:
             assert code == 1
             assert len(err.splitlines()) == 1
             assert set(json.loads(err)) == {"error", "message"}
+
+    @pytest.mark.parametrize("reader", ["config", "articles", "keywords", "prediction", "regressor"])
+    def test_deeply_nested_json(self, tmp_path, capsys, reader):
+        nested = "[" * 100000
+        root = _write_topic(
+            tmp_path / "ds",
+            articles=[ARTICLE, nested] if reader == "articles" else None,
+            keywords=nested if reader == "keywords" else None,
+        )
+        regressors = tmp_path / "reg"
+        regressors.mkdir()
+        (regressors / "regressor_t.json").write_text(nested)
+        pred = tmp_path / "pred"
+        pred.mkdir()
+        (pred / "t__ref.json").write_text(nested)
+        (tmp_path / "config.json").write_text(nested)
+        argv, name = {
+            "config": (_run_argv(tmp_path, root, "--config", str(tmp_path / "config.json")), "config.json"),
+            "articles": (["stats", str(root)], "articles.jsonl:2"),
+            "keywords": (["stats", str(root)], "keywords.json"),
+            "prediction": (["eval", "--pred", str(pred), "--dataset", str(root)], "t__ref.json"),
+            "regressor": (
+                _run_argv(tmp_path, root, "--method", "adprm-d", "--regressors", str(regressors)),
+                "regressor_t.json",
+            ),
+        }[reader]
+        assert main(argv) == 1
+        err = _one_json_error(capsys)
+        assert err["error"] == "ParseError"
+        assert name in err["message"]
 
     def test_valid_topic_and_prediction_pass(self, tmp_path, capsys):
         root = _write_topic(tmp_path / "ds", keywords='{"queries": ["flood"]}')

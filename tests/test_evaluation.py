@@ -11,13 +11,14 @@ from adaptls.evaluation import (
     EvalReport,
     PRF,
     align_dates,
-    align_rouge_f1,
     dataset_stats,
     date_f1,
     entry_tokens,
     evaluate_pair,
     rouge_n,
 )
+
+from align_oracle import align_rouge_f1
 
 
 def _tl(entries, name="tl"):
