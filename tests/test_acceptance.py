@@ -29,6 +29,7 @@ from adaptls.evaluation import (
     PRF,
     dataset_stats,
     date_f1,
+    evaluate_pair,
     rouge_n,
 )
 from adaptls.event_ranking import SimilarityGraph, markov_cluster
@@ -182,10 +183,12 @@ def test_05_metric_oracles(capsys):
             tl = Timeline("t", entries)
             shift = timedelta(days=rng.randint(-400, 400))
             shifted = Timeline("t", [(d + shift, s) for d, s in entries])
-            for n in (1, 2):
-                if abs(align_rouge_f1(tl, tl, n).f1 - 1.0) > 1e-12:
+            same = evaluate_pair(tl, tl, "t")
+            moved = evaluate_pair(shifted, shifted, "t")
+            for n, got, got_moved in ((1, same.ar1, moved.ar1), (2, same.ar2, moved.ar2)):
+                if abs(got.f1 - 1.0) > 1e-12 or got != got_moved:
                     passed = False
-                if align_rouge_f1(tl, tl, n) != align_rouge_f1(shifted, shifted, n):
+                if got != align_rouge_f1(tl, tl, n):
                     passed = False
             if not passed:
                 break

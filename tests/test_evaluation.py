@@ -246,6 +246,16 @@ class TestAlignDates:
         assert align_dates(pred, ref) == expected
 
 
+def _shipped_ar(pred, ref, n):
+    """The AR-n that `evaluate_pair` (and so `adaptls eval`) reports."""
+    pair = evaluate_pair(pred, ref, "t")
+    return {1: pair.ar1, 2: pair.ar2}[n]
+
+
+# Each known answer below pins the shipped metric and the reference alike.
+AR_METRICS = (_shipped_ar, align_rouge_f1)
+
+
 class TestAlignRougeF1:
     def test_self_evaluation_is_one(self):
         tl = _tl(
@@ -254,8 +264,9 @@ class TestAlignRougeF1:
                 (date(2020, 1, 9), ["Epsilon zeta eta theta."]),
             ]
         )
-        assert align_rouge_f1(tl, tl, 1).f1 == pytest.approx(1.0)
-        assert align_rouge_f1(tl, tl, 2).f1 == pytest.approx(1.0)
+        for ar in AR_METRICS:
+            assert ar(tl, tl, 1).f1 == pytest.approx(1.0)
+            assert ar(tl, tl, 2).f1 == pytest.approx(1.0)
 
     def test_one_day_shift_halves_score(self):
         ref = _tl(
@@ -265,10 +276,11 @@ class TestAlignRougeF1:
             ]
         )
         pred = _tl([(d + timedelta(days=1), s) for d, s in ref.entries])
-        got = align_rouge_f1(pred, ref, 1)
-        assert got.precision == pytest.approx(0.5)
-        assert got.recall == pytest.approx(0.5)
-        assert got.f1 == pytest.approx(0.5)
+        for ar in AR_METRICS:
+            got = ar(pred, ref, 1)
+            assert got.precision == pytest.approx(0.5)
+            assert got.recall == pytest.approx(0.5)
+            assert got.f1 == pytest.approx(0.5)
 
     def test_covering_one_of_two_refs(self):
         ref = _tl(
@@ -278,10 +290,11 @@ class TestAlignRougeF1:
             ]
         )
         pred = _tl([(date(2020, 1, 1), ["Alpha beta gamma."])])
-        got = align_rouge_f1(pred, ref, 1)
-        assert got.precision == pytest.approx(1.0)
-        assert got.recall == pytest.approx(0.5)
-        assert got.f1 == pytest.approx(2 / 3)
+        for ar in AR_METRICS:
+            got = ar(pred, ref, 1)
+            assert got.precision == pytest.approx(1.0)
+            assert got.recall == pytest.approx(0.5)
+            assert got.f1 == pytest.approx(2 / 3)
 
     def test_translation_invariance(self):
         ref = _tl(
@@ -299,13 +312,15 @@ class TestAlignRougeF1:
         shift = timedelta(days=365)
         ref2 = _tl([(d + shift, s) for d, s in ref.entries])
         pred2 = _tl([(d + shift, s) for d, s in pred.entries])
-        for n in (1, 2):
-            assert align_rouge_f1(pred, ref, n) == align_rouge_f1(pred2, ref2, n)
+        for ar in AR_METRICS:
+            for n in (1, 2):
+                assert ar(pred, ref, n) == ar(pred2, ref2, n)
 
     def test_zero_overlap_content(self):
         pred = _tl([(date(2020, 1, 1), ["Aaa bbb."])])
         ref = _tl([(date(2020, 1, 1), ["Ccc ddd."])])
-        assert align_rouge_f1(pred, ref, 1).f1 == 0.0
+        for ar in AR_METRICS:
+            assert ar(pred, ref, 1).f1 == 0.0
 
     def test_evaluate_pair_bundles_metrics(self):
         tl = _tl([(date(2020, 1, 1), ["Alpha beta."])], name="ref0")
