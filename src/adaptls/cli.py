@@ -36,15 +36,10 @@ from .corpus import (
     filter_by_queries,
     load_dataset,
     load_references,
+    read_json,
     timeline_from_obj,
 )
-from .errors import (
-    AdaptlsError,
-    InsufficientTopics,
-    MissingPrediction,
-    ParseError,
-    UnknownTopic,
-)
+from .errors import AdaptlsError, InsufficientTopics, MissingPrediction, UnknownTopic
 
 # Names bound on first use, each to (module, attribute or None for the module
 # itself).  They load numpy, multiprocessing or the date patterns, none of
@@ -283,11 +278,7 @@ def _load_prediction(pred_dir: Path, topic_name: str, ref_name: str) -> Timeline
     path = pred_dir / f"{_safe_name(topic_name)}__{_safe_name(ref_name)}.json"
     if not path.is_file():
         raise MissingPrediction(f"missing prediction file {path}")
-    try:
-        obj = json.loads(path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
-    return timeline_from_obj(obj, str(path), default_name="generated")
+    return timeline_from_obj(read_json(path), str(path), default_name="generated")
 
 
 def cmd_eval(args) -> int:
@@ -431,7 +422,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (AdaptlsError, ValueError) as exc:
+    except (AdaptlsError, ValueError, OSError) as exc:
         error = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(error), file=sys.stderr)
         return 1

@@ -10,12 +10,12 @@ numpy.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .errors import NotFound, ParseError
+from .corpus import read_json
+from .errors import NotFound
 
 DATE_METHODS = ("datewise", "adprm-d")
 EVENT_METHODS = ("clust", "adprm-e")
@@ -135,21 +135,14 @@ FIELD_NAMES = tuple(f.name for f in fields(RunConfig))
 def read_config(path) -> RunConfig:
     """The RunConfig a JSON config file sets; fields it omits keep their defaults.
 
-    A missing file raises NotFound; invalid JSON or UTF-8, or a value other
-    than an object, raises ParseError; a key that is no field raises
-    ValueError.  The values are checked by `validate`, not here.
+    A missing file raises NotFound; a file `corpus.read_json` refuses raises
+    ParseError; a key that is no field raises ValueError.  The values are
+    checked by `validate`, not here.
     """
     path = Path(path)
     if not path.is_file():
         raise NotFound(f"config file not found: {path}")
-    try:
-        obj = json.loads(path.read_text(encoding="utf-8"))
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8: {exc}") from exc
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise ParseError(f"{path}: expected a JSON object")
+    obj = read_json(path)
     for key in obj:
         if key not in FIELD_NAMES:
             raise ValueError(f"unknown config key {key!r}")

@@ -2,7 +2,9 @@
 
 A dataset is a directory with one sub-directory per topic; each topic
 directory holds ``articles.jsonl``, ``timelines.jsonl`` and an optional
-``keywords.json`` (see the README for the exact schema).
+``keywords.json`` (see the README for the exact schema).  `read_json` and
+`read_jsonl` read every JSON input of the package, config, regressor and
+prediction files included.
 """
 
 from __future__ import annotations
@@ -177,44 +179,71 @@ def _is_str_list(value) -> bool:
     return isinstance(value, list) and all(isinstance(item, str) for item in value)
 
 
-def _read_jsonl(path: Path):
-    with path.open(encoding="utf-8") as handle:
+# The escape of a UTF-16 surrogate.  Only text holding one can decode to a
+# lone surrogate, which UTF-8 cannot encode, so other text skips that check.
+_SURROGATE_ESCAPE_RE = re.compile(r"\\u[dD][89a-fA-F]")
+
+
+def _decode(text: str, where: str) -> dict:
+    """The JSON object in `text`, decoded with surrogateescape; else ParseError naming `where`."""
+    if not text.isascii():
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError as exc:  # an escaped byte that is not UTF-8
+            byte = ord(text[exc.start]) - 0xDC00
+            raise ParseError(f"{where}: not UTF-8: byte 0x{byte:02x}") from exc
+    try:
+        obj = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # ValueError: also too many digits
+        raise ParseError(f"{where}: invalid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ParseError(f"{where}: expected a JSON object")
+    if _SURROGATE_ESCAPE_RE.search(text):
+        try:
+            json.dumps(obj, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ParseError(f"{where}: lone surrogate escape in a string") from exc
+    return obj
+
+
+def read_json(path) -> dict:
+    """The JSON object in a UTF-8 file.
+
+    Bytes that are not UTF-8, invalid JSON (nesting too deep or an integer
+    too long included), a value other than an object, or a string that
+    UTF-8 cannot encode raise ParseError naming the file.
+    """
+    path = Path(path)
+    return _decode(path.read_text(encoding="utf-8", errors="surrogateescape"), str(path))
+
+
+def read_jsonl(path):
+    """Yield ``(where, object)`` for each non-blank line of a UTF-8 JSON-lines file.
+
+    `where` is ``"{path}:{line}"``; each line is checked as by `read_json`.
+    """
+    path = Path(path)
+    with path.open(encoding="utf-8", errors="surrogateescape") as handle:
         for line_number, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except (json.JSONDecodeError, RecursionError) as exc:
-                raise ParseError(
-                    f"{path.name}:{line_number}: invalid JSON: {exc}",
-                    line_number=line_number,
-                ) from exc
-            if not isinstance(obj, dict):
-                raise ParseError(
-                    f"{path.name}:{line_number}: expected a JSON object",
-                    line_number=line_number,
-                )
-            yield line_number, obj
+            if line.strip():
+                where = f"{path}:{line_number}"
+                yield where, _decode(line, where)
 
 
-def _article_from_obj(obj: dict, line_number) -> Article:
-    where = f"articles.jsonl:{line_number}"
+def _article_from_obj(obj: dict, where: str) -> Article:
     for key in ("id", "publish_date", "title", "text"):
         if key not in obj:
-            raise ParseError(f"{where}: missing key {key!r}", line_number=line_number)
+            raise ParseError(f"{where}: missing key {key!r}")
     for key in ("title", "text"):
         if not isinstance(obj[key], str):
-            raise ParseError(f"{where}: {key!r} must be a string", line_number=line_number)
+            raise ParseError(f"{where}: {key!r} must be a string")
     publish_date = _parse_date(obj["publish_date"], where)
     article_id = str(obj["id"])
     sentences = []
     pretokenized = obj.get("pretokenized")
     if pretokenized is not None:
         if not (isinstance(pretokenized, list) and all(map(_is_str_list, pretokenized))):
-            raise ParseError(
-                f"{where}: 'pretokenized' must be a list of lists of strings",
-                line_number=line_number,
-            )
+            raise ParseError(f"{where}: 'pretokenized' must be a list of lists of strings")
         raws = sentence_split(obj["text"])
         if len(raws) != len(pretokenized):
             # The raw text does not line up with the supplied token lists;
@@ -228,9 +257,7 @@ def _article_from_obj(obj: dict, line_number) -> Article:
     return Article(article_id, publish_date, obj["title"], sentences)
 
 
-def timeline_from_obj(
-    obj, where: str, line_number: int | None = None, default_name: str | None = None
-) -> Timeline:
+def timeline_from_obj(obj: dict, where: str, default_name: str | None = None) -> Timeline:
     """Parse one timeline object, ``{"name", "entries": [{"date", "summary"}]}``.
 
     `where` prefixes every error message.  Without `default_name` the object
@@ -238,10 +265,8 @@ def timeline_from_obj(
     """
 
     def fail(message: str) -> ParseError:
-        return ParseError(f"{where}: {message}", line_number=line_number)
+        return ParseError(f"{where}: {message}")
 
-    if not isinstance(obj, dict):
-        raise fail("expected a JSON object")
     if default_name is None and "name" not in obj:
         raise fail("missing key 'name'")
     if "entries" not in obj:
@@ -264,12 +289,10 @@ def timeline_from_obj(
 def _read_references(path: Path) -> list[Timeline]:
     """The reference timelines of a ``timelines.jsonl``; none may be empty."""
     timelines = []
-    for line_number, obj in _read_jsonl(path):
-        timeline = timeline_from_obj(obj, f"timelines.jsonl:{line_number}", line_number)
+    for where, obj in read_jsonl(path):
+        timeline = timeline_from_obj(obj, where)
         if not timeline.entries:
-            raise EmptyReference(
-                f"timelines.jsonl:{line_number}: reference timeline {timeline.name!r} is empty"
-            )
+            raise EmptyReference(f"{where}: reference timeline {timeline.name!r} is empty")
         timelines.append(timeline)
     return timelines
 
@@ -287,13 +310,10 @@ def load_topic(dir_path) -> Topic:
 
     articles = []
     seen_ids = set()
-    for line_number, obj in _read_jsonl(articles_path):
-        article = _article_from_obj(obj, line_number)
+    for where, obj in read_jsonl(articles_path):
+        article = _article_from_obj(obj, where)
         if article.id in seen_ids:
-            raise ParseError(
-                f"articles.jsonl:{line_number}: duplicate article id {article.id!r}",
-                line_number=line_number,
-            )
+            raise ParseError(f"{where}: duplicate article id {article.id!r}")
         seen_ids.add(article.id)
         articles.append(article)
 
@@ -302,13 +322,9 @@ def load_topic(dir_path) -> Topic:
     queries: list[str] = []
     keywords_path = dir_path / "keywords.json"
     if keywords_path.is_file():
-        try:
-            obj = json.loads(keywords_path.read_text(encoding="utf-8"))
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise ParseError(f"keywords.json: invalid JSON: {exc}") from exc
-        if not (isinstance(obj, dict) and _is_str_list(obj.get("queries", []))):
-            raise ParseError('keywords.json: expected {"queries": [strings]}')
-        queries = obj.get("queries", [])
+        queries = read_json(keywords_path).get("queries", [])
+        if not _is_str_list(queries):
+            raise ParseError(f'{keywords_path}: expected {{"queries": [strings]}}')
 
     return Topic(dir_path.name, articles, queries, timelines)
 

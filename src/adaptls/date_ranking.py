@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import DEFAULT_LAMBDA, is_finite_number
-from .corpus import Topic
+from .corpus import Topic, read_json
 from .errors import EmptyDataset, ParseError, SingularSystem
 from .temporal import DateCandidate, candidate_dates
 
@@ -91,12 +91,7 @@ class Regressor:
     @staticmethod
     def load(path) -> "Regressor":
         """Read a saved regressor; a malformed file raises ParseError naming it."""
-        try:
-            obj = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise ParseError(f"{path}: invalid JSON: {exc}") from exc
-        if not isinstance(obj, dict):
-            raise ParseError(f"{path}: expected a JSON object")
+        obj = read_json(path)
         for key in ("weights", "bias", "lambda"):
             if key not in obj:
                 raise ParseError(f"{path}: missing key {key!r}")

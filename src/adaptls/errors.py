@@ -10,11 +10,7 @@ class NotFound(AdaptlsError):
 
 
 class ParseError(AdaptlsError):
-    """A dataset file is malformed. Carries the 1-based line number."""
-
-    def __init__(self, message, line_number=None):
-        super().__init__(message)
-        self.line_number = line_number
+    """An input file is malformed; the message names the file (and the line)."""
 
 
 class DateError(AdaptlsError):

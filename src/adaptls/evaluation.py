@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from datetime import date as Date
 
 from .corpus import Timeline, Topic, tokenize
-from .errors import EmptyDataset, EmptyReference, EmptyTimeline
+from .errors import EmptyCorpus, EmptyDataset, EmptyReference, EmptyTimeline
 
 
 @dataclass(frozen=True)
@@ -241,7 +241,8 @@ def dataset_stats(dataset: list[Topic]) -> StatsReport:
 
     Every average is taken over (topic, reference timeline) pairs; corpus
     quantities (sentence counts, durations, candidate dates) come from the
-    pair's topic.  Requires mentions to be annotated.
+    pair's topic.  Requires mentions to be annotated; a topic without
+    sentences raises EmptyCorpus.
     """
     from .temporal import candidate_dates  # its date patterns are not needed by `eval`
 
@@ -264,6 +265,8 @@ def dataset_stats(dataset: list[Topic]) -> StatsReport:
     date_covs = []
     for topic, timeline in pairs:
         total_sentences = len(topic.sentences())
+        if not total_sentences:
+            raise EmptyCorpus(f"topic {topic.name!r} has no sentences")
         candidates = candidate_dates(topic)
         corpus_dates = {c.date for c in candidates}
         duration = topic.duration_days

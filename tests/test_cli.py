@@ -523,6 +523,7 @@ def _configs(draw, regressors_dir: str):
 
 ARTICLE = {"id": "a1", "publish_date": "2021-03-01", "title": "Flood", "text": "A flood hit. Crews came."}
 REFERENCE = {"name": "ref", "entries": [{"date": "2021-03-01", "summary": ["A flood hit."]}]}
+REGRESSOR = {"weights": [1, 0, 0, 0, 0, 0, 0, 0, 0.5], "bias": -1, "lambda": 1}
 
 
 def _write_topic(root, articles=None, timelines=None, keywords=None):
@@ -537,6 +538,64 @@ def _write_topic(root, articles=None, timelines=None, keywords=None):
     if keywords is not None:
         (topic / "keywords.json").write_text(keywords)
     return root
+
+
+# Each input file -> (a valid object of it, a key whose string value is unused or free).
+_INPUTS = {
+    "config": ({"alpha": 0.01}, "regressors_dir"),
+    "articles": (dict(ARTICLE, id="a2"), "title"),
+    "timelines": (dict(REFERENCE, name="r2"), "name"),
+    "keywords": ({"queries": ["flood"]}, "note"),
+    "prediction": ({"entries": REFERENCE["entries"]}, "name"),
+    "regressor": (REGRESSOR, "note"),
+}
+# Unreadable contents, built from an input's valid object and free key, and
+# the reason the message gives.
+_PAYLOADS = {
+    "nested": (lambda obj, key: b"[" * 100000, "invalid JSON"),
+    "not-utf8": (lambda obj, key: json.dumps(dict(obj, **{key: "AB"})).encode().replace(b"AB", b"A\xffB"), "not UTF-8"),
+    "long-int": (lambda obj, key: (json.dumps(obj)[:-1] + ', "n": 1' + "0" * 5000 + "}").encode(), "invalid JSON"),
+    "surrogate": (lambda obj, key: json.dumps(dict(obj, **{key: "a\ud800"})).encode(), "lone surrogate"),
+}
+
+# Any JSON value; strings may hold lone surrogates, which `json.dumps` escapes.
+_TEXT = st.text(st.one_of(st.characters(), st.characters(categories=["Cs"])))
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_TEXT, inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _input_case(root, target, payload: bytes):
+    """A valid topic, regressor, prediction and config under `root`, `target` replaced.
+
+    `payload` becomes the whole file, or line 2 onwards of a ``.jsonl`` file.
+    Returns the argv of a command that reads `target` and the path of `target`.
+    """
+    ds = _write_topic(root / "ds", articles=[ARTICLE], keywords=json.dumps({"queries": ["flood"]}))
+    (root / "reg").mkdir()
+    (root / "reg" / "regressor_t.json").write_text(json.dumps(REGRESSOR))
+    (root / "pred").mkdir()
+    (root / "pred" / "t__ref.json").write_text(json.dumps(REFERENCE))
+    paths = {
+        "config": root / "config.json",
+        "articles": ds / "t" / "articles.jsonl",
+        "timelines": ds / "t" / "timelines.jsonl",
+        "keywords": ds / "t" / "keywords.json",
+        "prediction": root / "pred" / "t__ref.json",
+        "regressor": root / "reg" / "regressor_t.json",
+    }
+    path = paths[target]
+    path.write_bytes((path.read_bytes() if path.suffix == ".jsonl" else b"") + payload)
+    run = ["run", "--dataset-dir", str(ds), "--output-dir", str(root / "out"), "--method"]
+    argv = {
+        "config": run + ["adprm-e", "--config", str(path)],
+        "keywords": run + ["adprm-e", "--use-query-filter"],
+        "prediction": ["eval", "--pred", str(root / "pred"), "--dataset", str(ds)],
+        "regressor": run + ["adprm-d", "--regressors", str(root / "reg")],
+    }.get(target, run + ["adprm-e"])
+    return argv, path
 
 
 def _run_argv(tmp_path, root, *extra):
@@ -568,13 +627,13 @@ class TestMalformedInput:
         assert main(["stats", str(root)]) == 1
         err = _one_json_error(capsys)
         assert err["error"] == "ParseError"
-        assert err["message"].startswith("articles.jsonl:2: ")
+        assert err["message"].startswith(f"{root / 't' / 'articles.jsonl'}:2: ")
 
     @pytest.mark.parametrize("line", ["5", "[1, 2]", '"id title text"', "null"])
     def test_article_line_not_an_object(self, tmp_path, capsys, line):
         root = _write_topic(tmp_path / "ds", articles=[ARTICLE, line])
         assert main(["stats", str(root)]) == 1
-        assert _one_json_error(capsys)["message"] == "articles.jsonl:2: expected a JSON object"
+        assert _one_json_error(capsys)["message"] == f"{root / 't' / 'articles.jsonl'}:2: expected a JSON object"
 
     @pytest.mark.parametrize(
         "timeline",
@@ -591,14 +650,14 @@ class TestMalformedInput:
         assert main(["stats", str(root)]) == 1
         err = _one_json_error(capsys)
         assert err["error"] == "ParseError"
-        assert err["message"].startswith("timelines.jsonl:2: ")
+        assert err["message"].startswith(f"{root / 't' / 'timelines.jsonl'}:2: ")
 
     def test_empty_reference_timeline(self, tmp_path, capsys):
         root = _write_topic(tmp_path / "ds", timelines=[REFERENCE, dict(REFERENCE, name="r2", entries=[])])
         assert main(["stats", str(root)]) == 1
         err = _one_json_error(capsys)
         assert err["error"] == "EmptyReference"
-        assert err["message"].startswith("timelines.jsonl:2: ")
+        assert err["message"].startswith(f"{root / 't' / 'timelines.jsonl'}:2: ")
 
     @pytest.mark.parametrize("keywords", ["[]", '{"queries": "flood"}', '{"queries": [1]}'])
     def test_keywords_types(self, tmp_path, capsys, keywords):
@@ -637,7 +696,7 @@ class TestMalformedInput:
         pred.mkdir()
         (pred / "t__ref.json").write_text(json.dumps(REFERENCE))
         assert main(["stats", str(root)]) == 1
-        assert _one_json_error(capsys)["message"] == "articles.jsonl:2: expected a JSON object"
+        assert _one_json_error(capsys)["message"] == f"{root / 't' / 'articles.jsonl'}:2: expected a JSON object"
         assert main(["eval", "--pred", str(pred), "--dataset", str(root)]) == 0
         assert capsys.readouterr().err == ""
 
@@ -704,9 +763,7 @@ class TestMalformedInput:
         root = _write_topic(tmp_path / "ds")
         regressors = tmp_path / "reg"
         regressors.mkdir()
-        (regressors / "regressor_t.json").write_text(
-            json.dumps({"weights": [1, 0, 0, 0, 0, 0, 0, 0, 0.5], "bias": -1, "lambda": 1})
-        )
+        (regressors / "regressor_t.json").write_text(json.dumps(REGRESSOR))
         assert main(_run_argv(tmp_path, root, "--method", "adprm-d", "--regressors", str(regressors))) == 0
         assert capsys.readouterr().err == ""
 
@@ -792,9 +849,7 @@ class TestMalformedInput:
         if not root.exists():
             _write_topic(root)
             regressors.mkdir()
-            (regressors / "regressor_t.json").write_text(
-                json.dumps({"weights": [1, 0, 0, 0, 0, 0, 0, 0, 0.5], "bias": -1, "lambda": 1})
-            )
+            (regressors / "regressor_t.json").write_text(json.dumps(REGRESSOR))
         config = data.draw(_configs(str(regressors)))
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
@@ -809,35 +864,78 @@ class TestMalformedInput:
             assert len(err.splitlines()) == 1
             assert set(json.loads(err)) == {"error", "message"}
 
-    @pytest.mark.parametrize("reader", ["config", "articles", "keywords", "prediction", "regressor"])
-    def test_deeply_nested_json(self, tmp_path, capsys, reader):
-        nested = "[" * 100000
-        root = _write_topic(
-            tmp_path / "ds",
-            articles=[ARTICLE, nested] if reader == "articles" else None,
-            keywords=nested if reader == "keywords" else None,
-        )
-        regressors = tmp_path / "reg"
-        regressors.mkdir()
-        (regressors / "regressor_t.json").write_text(nested)
-        pred = tmp_path / "pred"
-        pred.mkdir()
-        (pred / "t__ref.json").write_text(nested)
-        (tmp_path / "config.json").write_text(nested)
-        argv, name = {
-            "config": (_run_argv(tmp_path, root, "--config", str(tmp_path / "config.json")), "config.json"),
-            "articles": (["stats", str(root)], "articles.jsonl:2"),
-            "keywords": (["stats", str(root)], "keywords.json"),
-            "prediction": (["eval", "--pred", str(pred), "--dataset", str(root)], "t__ref.json"),
-            "regressor": (
-                _run_argv(tmp_path, root, "--method", "adprm-d", "--regressors", str(regressors)),
-                "regressor_t.json",
-            ),
-        }[reader]
+    @pytest.mark.parametrize(
+        "target, payload",
+        [(target, payload) for payload in _PAYLOADS for target in _INPUTS],
+        ids=[
+            target if payload == "nested" else f"{target}-{payload}"
+            for payload in _PAYLOADS
+            for target in _INPUTS
+        ],
+    )
+    def test_deeply_nested_json(self, tmp_path, capsys, target, payload):
+        """Each input refuses each payload with one ParseError naming it, before any output."""
+        build, reason = _PAYLOADS[payload]
+        argv, path = _input_case(tmp_path, target, build(*_INPUTS[target]))
         assert main(argv) == 1
         err = _one_json_error(capsys)
         assert err["error"] == "ParseError"
-        assert name in err["message"]
+        name = f"{path}:2: " if path.suffix == ".jsonl" else f"{path}: "
+        assert err["message"].startswith(name + reason)
+        assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
+    @settings(
+        max_examples=200,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(target=st.sampled_from(sorted(_INPUTS)), data=st.data())
+    def test_any_input_file_exits_cleanly(self, tmp_path, capsys, target, data):
+        """Any bytes or JSON value in any input: exit 0, or exit 1 with one JSON line and no output."""
+        obj, key = _INPUTS[target]
+        edited = st.builds(
+            lambda name, value: dict(obj, **{name: value}), st.sampled_from(sorted(obj) + [key]), _JSON_VALUES
+        )
+        payload = data.draw(
+            st.one_of(st.binary(), st.one_of(_JSON_VALUES, edited).map(json.dumps).map(str.encode))
+        )
+        case = tmp_path / "case"
+        shutil.rmtree(case, ignore_errors=True)
+        argv, _ = _input_case(case, target, payload)
+        capsys.readouterr()
+        code = main(argv)
+        err = capsys.readouterr().err
+        if code == 0:
+            assert err == ""
+        else:
+            assert code == 1
+            assert len(err.splitlines()) == 1
+            assert set(json.loads(err)) == {"error", "message"}
+            assert not (case / "out").exists() or not any((case / "out").iterdir())
+
+    @pytest.mark.parametrize("command", ["train", "run", "eval", "knee-curve"])
+    def test_output_path_under_a_file(self, planted_dir, tmp_path, capsys, command):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        eval_argv, _ = _input_case(tmp_path, "prediction", json.dumps(REFERENCE).encode())
+        run_flags = ["--dataset-dir", str(tmp_path / "ds"), "--method", "adprm-e"]
+        argv = {
+            "train": ["train", str(planted_dir), "--out", str(blocker)],
+            "run": ["run", *run_flags, "--output-dir", str(blocker)],
+            "eval": [*eval_argv, "--out", str(blocker / "report")],
+            "knee-curve": ["knee-curve", *run_flags, "--topic", "t", "--out", str(blocker / "x.csv")],
+        }[command]
+        assert main(argv) == 1
+        err = _one_json_error(capsys)
+        assert err["error"] in ("FileExistsError", "NotADirectoryError")
+        assert str(blocker) in err["message"]
+
+    def test_stats_on_topic_without_sentences(self, tmp_path, capsys):
+        root = _write_topic(tmp_path / "ds", articles=[dict(ARTICLE, text="")])
+        assert main(["stats", str(root)]) == 1
+        err = _one_json_error(capsys)
+        assert err["error"] == "EmptyCorpus"
+        assert "'t'" in err["message"]
 
     def test_valid_topic_and_prediction_pass(self, tmp_path, capsys):
         root = _write_topic(tmp_path / "ds", keywords='{"queries": ["flood"]}')

@@ -225,7 +225,7 @@ class TestLoadTopic:
         (topic_dir / "timelines.jsonl").write_text("")
         with pytest.raises(ParseError) as excinfo:
             load_topic(topic_dir)
-        assert excinfo.value.line_number == 2
+        assert str(excinfo.value) == f"{topic_dir / 'articles.jsonl'}:2: missing key 'publish_date'"
 
     def test_missing_file_is_not_found(self, tmp_path):
         with pytest.raises(NotFound):
