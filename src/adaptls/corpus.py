@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from datetime import date as Date
+from datetime import date as Date, timedelta
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -20,6 +20,20 @@ from .errors import DateError, EmptyReference, NotFound, ParseError
 
 if TYPE_CHECKING:
     from .temporal import DateMention
+
+
+# Mentions further back than this from the earliest publication date are
+# treated as garbage (OCR noise, historical asides) and dropped.
+LOOKBACK_DAYS = 3650
+
+# The most days that date arithmetic steps past a date of a topic's mention
+# window: a relative word ("tomorrow") steps one day, and the date features
+# count mentions up to seven days around a candidate date.
+STEP_DAYS = 7
+
+# Publication dates leave room in the calendar for that arithmetic.
+EARLIEST_PUBLISH_DATE = Date.min + timedelta(days=LOOKBACK_DAYS + STEP_DAYS)
+LATEST_PUBLISH_DATE = Date.max - timedelta(days=STEP_DAYS)
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +252,11 @@ def _article_from_obj(obj: dict, where: str) -> Article:
         if not isinstance(obj[key], str):
             raise ParseError(f"{where}: {key!r} must be a string")
     publish_date = _parse_date(obj["publish_date"], where)
+    if not EARLIEST_PUBLISH_DATE <= publish_date <= LATEST_PUBLISH_DATE:
+        raise ParseError(
+            f"{where}: publish_date {publish_date.isoformat()} is outside "
+            f"{EARLIEST_PUBLISH_DATE.isoformat()}..{LATEST_PUBLISH_DATE.isoformat()}"
+        )
     article_id = str(obj["id"])
     sentences = []
     pretokenized = obj.get("pretokenized")

@@ -12,12 +12,8 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from datetime import date as Date, timedelta
 
-from .corpus import Topic
+from .corpus import LOOKBACK_DAYS, Topic
 from .errors import EmptyCorpus
-
-# Mentions further back than this from the earliest publication date are
-# treated as garbage (OCR noise, historical asides) and dropped.
-LOOKBACK_DAYS = 3650
 
 # A month-day mention that lands more than half a year after the anchor is
 # assumed to refer to the previous year (news convention).
@@ -114,8 +110,10 @@ def _scan(sentence_raw: str, anchor: Date):
     and the CJK forms are skipped.  A pattern is skipped when the text lacks
     a literal that each of its matches holds: a digit for all but the
     relative words, "-" for ISO dates and, in lowercased ASCII text, a
-    relative word or a month stem.  No two patterns can match the same span,
-    so the order of the scan does not change the ranking of the matches.
+    relative word or a month stem.  Month-day-year dates are searched only
+    where a month-day date matched, since each of them starts with one.  No
+    two patterns can match the same span, so the order of the scan does not
+    change the ranking of the matches.
     """
     is_ascii = sentence_raw.isascii()
     if is_ascii:
@@ -142,17 +140,19 @@ def _scan(sentence_raw: str, anchor: Date):
                 yield m.span(), resolved, "explicit", 1
     elif not _MONTH_STEM_RE.search(text):
         return
-    for m in mdy_re.finditer(text):
-        month = _lookup(_MONTHS, m.group(1))
-        resolved = _safe_date(int(m.group(3)), month, int(m.group(2)))
-        if resolved:
-            yield m.span(), resolved, "explicit", 1
+    month_days = list(md_re.finditer(text))
+    if month_days:
+        for m in mdy_re.finditer(text):
+            month = _lookup(_MONTHS, m.group(1))
+            resolved = _safe_date(int(m.group(3)), month, int(m.group(2)))
+            if resolved:
+                yield m.span(), resolved, "explicit", 1
     for m in dmy_re.finditer(text):
         month = _lookup(_MONTHS, m.group(2))
         resolved = _safe_date(int(m.group(3)), month, int(m.group(1)))
         if resolved:
             yield m.span(), resolved, "explicit", 1
-    for m in md_re.finditer(text):
+    for m in month_days:
         month = _lookup(_MONTHS, m.group(1))
         resolved = _resolve_partial(month, int(m.group(2)), anchor)
         if resolved:

@@ -8,9 +8,9 @@ lead sentences with the same vocabulary and idf.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from datetime import date as Date
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -55,22 +55,53 @@ class Rows:
         return self.sums(self.data * x[self.indices])
 
 
-def _tfidf_rows(
-    vocabulary: dict[str, int], idf: list[float], token_lists
-) -> Rows:
-    """One row per token list: tf * idf over known tokens, L2-normalized."""
-    indptr, indices, data = [0], [], []
-    for tokens in token_lists:
-        tf = Counter(vocabulary[tok] for tok in tokens if tok in vocabulary)
-        cols = sorted(tf)
-        weights = [tf[col] * idf[col] for col in cols]
-        norm = math.sqrt(sum(w * w for w in weights))
-        indices.extend(cols)
-        data.extend(w * (1.0 / norm) for w in weights)
-        indptr.append(len(indices))
-    return Rows(
-        np.array(indptr), np.array(indices, dtype=np.intp), np.array(data, dtype=float)
+def _term_counts(vocabulary: dict[str, int], token_lists: list) -> tuple[np.ndarray, ...]:
+    """(row, column, tf) of the known tokens of each list, row by row, columns ascending."""
+    lengths = [len(tokens) for tokens in token_lists]
+    width = max(len(vocabulary), 1)
+    # key = row * width + column, negative for an unknown token.  Sorted,
+    # its distinct values are the entries in order and their run lengths the tf.
+    key = np.fromiter(
+        map(vocabulary.get, chain.from_iterable(token_lists), repeat(-len(lengths) * width)),
+        dtype=np.intp,
+        count=sum(lengths),
     )
+    key += np.repeat(np.arange(len(lengths)) * width, lengths)
+    key = key[key >= 0]
+    key.sort(kind="stable")
+    first = np.empty(len(key), dtype=bool)
+    first[:1] = True
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    row, col = np.divmod(key[starts], width)
+    return row, col, np.diff(starts, append=len(key))
+
+
+def _tfidf_rows(
+    vocabulary: dict[str, int], token_lists, idf: np.ndarray | None = None
+) -> tuple[Rows, np.ndarray]:
+    """One row per token list: tf * idf over known tokens, L2-normalized; and the idf.
+
+    Without `idf`, it is ln(1 + n/(1 + df)) over these n token lists.  The
+    arithmetic is that of a per-row loop, so the bytes equal it: a weight
+    is tf * idf, the squared norm sums a row's w * w left to right, and
+    each weight is scaled by 1 / norm.
+    """
+    token_lists = list(token_lists)
+    n = len(token_lists)
+    row, col, tf = _term_counts(vocabulary, token_lists)
+    if idf is None:
+        df = np.bincount(col, minlength=len(vocabulary)).tolist()
+        idf = np.array([math.log(1.0 + n / (1.0 + d)) for d in df])
+    weights = idf[col]
+    weights *= tf
+    squares = np.bincount(row, weights=weights * weights, minlength=n).tolist()
+    # math.sqrt per row: np.sqrt gives the same values, but its first call
+    # maps in more of numpy's code, which showed in `run`'s peak RSS.
+    scale = np.array([1.0 / math.sqrt(x) if x else 0.0 for x in squares])
+    weights *= scale[row]
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(row, minlength=n))))
+    return Rows(indptr, col, weights), idf
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,7 +124,7 @@ class Vectorizer:
 
     def transform(self, token_lists) -> Rows:
         """TF-IDF rows of other token lists; unknown tokens are dropped."""
-        return _tfidf_rows(self.vocabulary, self.idf.tolist(), token_lists)
+        return _tfidf_rows(self.vocabulary, token_lists, self.idf)[0]
 
 
 def build_vectorizer(topic: Topic) -> Vectorizer:
@@ -102,10 +133,10 @@ def build_vectorizer(topic: Topic) -> Vectorizer:
     pairs = [(a, s) for a in articles for s in a.sentences]
     if not pairs:
         raise EmptyCorpus(f"topic {topic.name!r} has no sentences")
-    df = Counter(tok for _, s in pairs for tok in set(s.tokens))
-    terms = sorted(df)
+    token_lists = [s.tokens for _, s in pairs]
+    terms = sorted(set(chain.from_iterable(token_lists)))
     vocabulary = {tok: i for i, tok in enumerate(terms)}
-    idf = [math.log(1.0 + len(pairs) / (1.0 + df[tok])) for tok in terms]
+    rows, idf = _tfidf_rows(vocabulary, token_lists)
     by_pub_date: dict[Date, list[int]] = {}
     by_mention: dict[Date, list[int]] = {}
     by_article: dict[str, list[int]] = {}
@@ -116,8 +147,8 @@ def build_vectorizer(topic: Topic) -> Vectorizer:
             by_mention.setdefault(day, []).append(row)
     return Vectorizer(
         vocabulary,
-        np.array(idf),
-        _tfidf_rows(vocabulary, idf, [s.tokens for _, s in pairs]),
+        idf,
+        rows,
         [s for _, s in pairs],
         by_pub_date,
         by_mention,

@@ -166,6 +166,16 @@ sys.exit(main(sys.argv[2:]))
 """
 
 
+# Writes a benchmark dataset (argv: WORKLOAD SEED OUT_DIR) with bench/gen.py,
+# which imports its sibling modules by plain name.
+GENERATE = f"""
+import sys
+sys.path.insert(0, {str(Path(__file__).parents[1] / "bench")!r})
+import gen
+gen.generate(sys.argv[1], int(sys.argv[2]), sys.argv[3])
+"""
+
+
 class _RecordingPool:
     """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
 
@@ -220,6 +230,25 @@ class TestJobs:
         manifest["config"]["jobs"] = 2  # the one difference
         assert pool.pop("manifest.json").decode() == json.dumps(manifest, ensure_ascii=False, indent=2) + "\n"
         assert pool == serial and len(serial) == 4
+
+    def test_real_pool_matches_serial_on_bench_corpus(self, tmp_path, fresh_python):
+        """`--jobs 2` on the benchmark's events-clustered corpus, seed 1, as generated there."""
+        fresh_python("-c", GENERATE, "events-clustered", "1", str(tmp_path))
+        out = tmp_path / "out"
+        argv = ["-c", START_METHOD_MAIN, "fork", "run", "--dataset-dir", str(tmp_path / "dataset")]
+        argv += ["--output-dir", str(out), "--method", "adprm-e", "--constraint", "adaptive"]
+        outputs = []
+        for jobs in ("1", "2"):
+            shutil.rmtree(out, ignore_errors=True)
+            fresh_python(*argv, "--jobs", jobs)
+            outputs.append({path.name: path.read_bytes() for path in out.iterdir()})
+        serial, pool = outputs
+        manifest = json.loads(serial.pop("manifest.json"))
+        assert manifest["config"]["jobs"] == 1
+        manifest["config"]["jobs"] = 2  # the one difference
+        assert pool.pop("manifest.json").decode() == json.dumps(manifest, ensure_ascii=False, indent=2) + "\n"
+        references = [p.read_text().splitlines() for p in tmp_path.glob("dataset/*/timelines.jsonl")]
+        assert pool == serial and len(serial) == sum(map(len, references))
 
 
 def _shuffled_copy(src: Path, dst: Path, seed: int) -> Path:
@@ -658,6 +687,19 @@ class TestMalformedInput:
         err = _one_json_error(capsys)
         assert err["error"] == "EmptyReference"
         assert err["message"].startswith(f"{root / 't' / 'timelines.jsonl'}:2: ")
+
+    @pytest.mark.parametrize(
+        "publish_date, text",
+        [("0001-01-02", "A flood hit."), ("9999-12-31", "A flood hits tomorrow.")],
+    )
+    def test_publish_date_at_the_ends_of_the_calendar(self, tmp_path, capsys, publish_date, text):
+        # Both used to end in an OverflowError traceback: the first in the
+        # mention window, the second in resolving "tomorrow".
+        root = _write_topic(tmp_path / "ds", articles=[dict(ARTICLE, publish_date=publish_date, text=text)])
+        assert main(["stats", str(root)]) == 1
+        err = _one_json_error(capsys)
+        assert err["error"] == "ParseError"
+        assert err["message"].startswith(f"{root / 't' / 'articles.jsonl'}:1: publish_date {publish_date} ")
 
     @pytest.mark.parametrize("keywords", ["[]", '{"queries": "flood"}', '{"queries": [1]}'])
     def test_keywords_types(self, tmp_path, capsys, keywords):

@@ -1,11 +1,15 @@
 import json
 import math
+from datetime import timedelta
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from adaptls.corpus import (
+    EARLIEST_PUBLISH_DATE,
+    LATEST_PUBLISH_DATE,
+    LOOKBACK_DAYS,
     Sentence,
     Topic,
     filter_by_queries,
@@ -15,7 +19,9 @@ from adaptls.corpus import (
     sentence_split,
     tokenize,
 )
+from adaptls.date_ranking import feature_matrix
 from adaptls.errors import EmptyCorpus, NotFound, ParseError
+from adaptls.event_ranking import detect_events
 from adaptls.temporal import annotate_topic
 from adaptls.tfidf import build_vectorizer
 from synthdata import save_topic
@@ -230,6 +236,30 @@ class TestLoadTopic:
     def test_missing_file_is_not_found(self, tmp_path):
         with pytest.raises(NotFound):
             load_topic(tmp_path / "nope")
+
+    @pytest.mark.parametrize("edge, beyond", [(EARLIEST_PUBLISH_DATE, -1), (LATEST_PUBLISH_DATE, 1)])
+    def test_publish_dates_leave_room_for_date_arithmetic(self, tmp_path, edge, beyond):
+        # At either limit the mention window, the relative words and the
+        # +-7-day date features stay inside the calendar; a day beyond fails.
+        first = edge - timedelta(days=LOOKBACK_DAYS)
+        text = f"It hit on {first.isoformat()}. It rained yesterday. It rains tomorrow."
+        article = {"id": "a1", "publish_date": edge.isoformat(), "title": "t", "text": text}
+        topic_dir = tmp_path / "t"
+        topic_dir.mkdir()
+        (topic_dir / "timelines.jsonl").write_text("")
+        (topic_dir / "articles.jsonl").write_text(json.dumps(article) + "\n")
+        topic = annotate_topic(load_topic(topic_dir))
+        candidates, features = feature_matrix(topic)
+        assert candidates[0].date == first and candidates[-1].date == edge
+        assert np.isfinite(features).all()
+        [(event, _)] = detect_events(topic)[0]
+        assert event.event_date in {c.date for c in candidates}
+
+        article["publish_date"] = (edge + timedelta(days=beyond)).isoformat()
+        (topic_dir / "articles.jsonl").write_text(json.dumps(article) + "\n")
+        with pytest.raises(ParseError) as excinfo:
+            load_topic(topic_dir)
+        assert str(excinfo.value).startswith(f"{topic_dir / 'articles.jsonl'}:1: publish_date ")
 
     def test_mini_dataset(self, mini_dataset):
         assert len(mini_dataset) == 3

@@ -2,13 +2,14 @@
 
 Random small topics include sentences without tokens (empty rows) and exact
 duplicate sentences (tied rows), so the zero-row and tie paths of the
-summarizers and of the article graph are exercised.
+summarizers and of the article graph are exercised.  The rows themselves
+must equal the per-row Counter loop to the bit.
 """
 
 from datetime import date, timedelta
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from adaptls.corpus import Article, Sentence, Topic
 from adaptls.event_ranking import EventCluster, build_similarity_graph
@@ -95,3 +96,49 @@ def test_graph_weights_match_reference(topic, threshold):
         (graph.weights == 0.0) | (np.abs(graph.weights - cosines) <= 1e-12)
     )
     assert (close | at_threshold).all()
+
+
+WORDS = st.sampled_from(["a", "b", "c", "d", "e", "f", "g", "h", "flood", "crews", "Ä", "水"])
+SENTENCES = st.lists(st.lists(WORDS, max_size=25), min_size=1, max_size=12)
+# Token lists for transform; "x", "y" and "z" are never in the vocabulary.
+OTHERS = st.lists(st.lists(WORDS | st.sampled_from("xyz"), max_size=25), max_size=6)
+
+
+def _assert_bytes_equal(rows, expected):
+    for got, want in zip((rows.indptr, rows.indices, rows.data), expected):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(SENTENCES, OTHERS)
+@example([[], []], [["a"], [], ["x", "y"]])  # a topic without tokens
+@example([["a", "b", "a"], []], [[], ["z"], ["x", "a", "x", "a"]])  # empty and all-unknown rows
+def test_rows_equal_counter_loop_exactly(token_lists, others):
+    sentences = [Sentence("a", i, " ".join(tokens), tokens) for i, tokens in enumerate(token_lists)]
+    vec = build_vectorizer(Topic("t", [Article("a", START, "", sentences)]))
+    vocabulary, idf = tfidf_oracle.counter_vocabulary(token_lists)
+    assert vec.vocabulary == vocabulary
+    assert vec.idf.dtype == np.float64 and np.array_equal(vec.idf, np.array(idf))
+    _assert_bytes_equal(vec.rows, tfidf_oracle.counter_rows(vocabulary, idf, token_lists))
+    _assert_bytes_equal(vec.transform(others), tfidf_oracle.counter_rows(vocabulary, idf, others))
+    _assert_bytes_equal(vec.transform(iter(others)), tfidf_oracle.counter_rows(vocabulary, idf, others))
+
+
+# `adaptls train` and `run` on a dataset; prints whether numpy.ma was loaded.
+RUN_LOADS_MA = """
+import contextlib, io, sys
+from adaptls.cli import main
+mini, out = sys.argv[1:]
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["train", mini, "--out", out + "/reg"]) == 0
+    for method in ("adprm-d", "adprm-e"):
+        run = ["run", "--dataset-dir", mini, "--output-dir", f"{out}/{method}", "--method", method]
+        assert main(run + (["--regressors", out + "/reg"] if method == "adprm-d" else [])) == 0
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_run_loads_no_masked_arrays(fresh_python, mini_dir, tmp_path):
+    # np.unique and friends import numpy.ma, about 1.8 MB of peak RSS.
+    assert fresh_python("-c", RUN_LOADS_MA, str(mini_dir), str(tmp_path)).strip() == "False"

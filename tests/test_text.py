@@ -115,6 +115,15 @@ def test_prefilters_pass_every_word():
         assert temporal._MONTH_STEM_RE.search(word)
 
 
+def test_month_day_year_with_spaced_comma():
+    # The month-day-year scan runs only where a month-day date matched; here
+    # that is "March 5", which the longer explicit date then covers.
+    text, anchor = "March 5 , 2021", date(2021, 9, 10)
+    mentions = extract_date_mentions(text, anchor)
+    assert mentions == text_oracle.extract_date_mentions(text, anchor)
+    assert [(m.resolved, m.span, m.kind) for m in mentions] == [(date(2021, 3, 5), (0, 14), "explicit")]
+
+
 def test_non_ascii_sentences_keep_the_ignorecase_scan():
     # "İ".lower() is two characters, so these sentences must not be lowercased.
     anchor = date(2021, 9, 10)

@@ -7,7 +7,10 @@ topic's tokens, so the tests can hold the shared CSR representation of
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+
+import numpy as np
 
 from adaptls.corpus import tokenize
 
@@ -70,6 +73,33 @@ class SparseVector:
 
 
 ZERO = SparseVector((), ())
+
+
+def counter_vocabulary(token_lists) -> tuple[dict[str, int], list[float]]:
+    """Sorted vocabulary and idf ln(1 + n/(1 + df)) of n token lists, by a df Counter."""
+    df = Counter(tok for tokens in token_lists for tok in set(tokens))
+    terms = sorted(df)
+    idf = [math.log(1.0 + len(token_lists) / (1.0 + df[tok])) for tok in terms]
+    return {tok: i for i, tok in enumerate(terms)}, idf
+
+
+def counter_rows(vocabulary: dict[str, int], idf: list[float], token_lists):
+    """(indptr, indices, data) of L2-normalized tf * idf rows, one Counter per row.
+
+    The arithmetic the CSR builder must match to the bit: weights tf * idf,
+    the norm of a row's squared weights summed left to right, and each weight
+    scaled by 1 / norm.
+    """
+    indptr, indices, data = [0], [], []
+    for tokens in token_lists:
+        tf = Counter(vocabulary[tok] for tok in tokens if tok in vocabulary)
+        cols = sorted(tf)
+        weights = [tf[col] * idf[col] for col in cols]
+        norm = math.sqrt(sum(w * w for w in weights))
+        indices.extend(cols)
+        data.extend(w * (1.0 / norm) for w in weights)
+        indptr.append(len(indices))
+    return np.array(indptr), np.array(indices, dtype=np.intp), np.array(data, dtype=float)
 
 
 def vectorize(vec, tokens: list[str]) -> SparseVector:
