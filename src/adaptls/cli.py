@@ -92,6 +92,14 @@ def _safe_name(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]+", "_", name)
 
 
+def _regressor_name(topic_name: str) -> str:
+    return f"regressor_{_safe_name(topic_name)}.json"
+
+
+def _prediction_name(topic_name: str, ref_name: str) -> str:
+    return f"{_safe_name(topic_name)}__{_safe_name(ref_name)}.json"
+
+
 def _prepare(topic: Topic, config: RunConfig) -> Topic:
     annotate_topic(topic)
     if config.use_query_filter:
@@ -104,7 +112,7 @@ def _load_regressor(config: RunConfig, topic_name: str):
         raise AdaptlsError(
             f"method {config.method!r} needs --regressors (run `adaptls train` first)"
         )
-    path = Path(config.regressors_dir) / f"regressor_{_safe_name(topic_name)}.json"
+    path = Path(config.regressors_dir) / _regressor_name(topic_name)
     if not path.is_file():
         raise MissingPrediction(f"no trained regressor for topic {topic_name!r}: {path}")
     return date_ranking.Regressor.load(path)
@@ -175,11 +183,7 @@ def _run_topic(topic: Topic, config: RunConfig):
     adaptive = config.constraint == "adaptive"
     if adaptive:
         l, _, point = _choose_length(items, config)
-        knee = {
-            "c_star": point.c_star,
-            "difference": point.difference,
-            "fallback_used": point.fallback_used,
-        }
+        knee = asdict(point)
         k = expert_k(topic.reference_timelines) if config.k_policy == "expert" else 1
 
     outputs = []
@@ -220,7 +224,7 @@ def cmd_train(args) -> int:
     for held_out in dataset:
         training = [block for name, block in blocks.items() if name != held_out.name]
         regressor = date_ranking.train_regressor(training, args.l2_lambda)
-        regressor.save(out_dir / f"regressor_{_safe_name(held_out.name)}.json")
+        regressor.save(out_dir / _regressor_name(held_out.name))
     print(f"wrote {len(dataset)} regressors to {out_dir}")
     return 0
 
@@ -247,10 +251,7 @@ def cmd_run(args) -> int:
     manifest = {"config": asdict(config), "outputs": []}
     for outputs in per_topic:
         for output in outputs:
-            file_name = (
-                f"{_safe_name(output['topic'])}__"
-                f"{_safe_name(output['reference'])}.json"
-            )
+            file_name = _prediction_name(output["topic"], output["reference"])
             (out_dir / file_name).write_text(
                 json.dumps(output["timeline"], ensure_ascii=False, indent=2)
                 + "\n",
@@ -275,7 +276,7 @@ def cmd_run(args) -> int:
 
 
 def _load_prediction(pred_dir: Path, topic_name: str, ref_name: str) -> Timeline:
-    path = pred_dir / f"{_safe_name(topic_name)}__{_safe_name(ref_name)}.json"
+    path = pred_dir / _prediction_name(topic_name, ref_name)
     if not path.is_file():
         raise MissingPrediction(f"missing prediction file {path}")
     return timeline_from_obj(read_json(path), str(path), default_name="generated")
@@ -350,6 +351,13 @@ def cmd_knee_curve(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error raises ValueError, which `main` reports as one JSON line."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file; flags override it")
     parser.add_argument("--dataset-dir", dest="dataset_dir")
@@ -376,7 +384,7 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="adaptls",
         description="Timeline summarization with automatic length selection",
     )
@@ -418,9 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (AdaptlsError, ValueError, OSError) as exc:
         error = {"error": type(exc).__name__, "message": str(exc)}

@@ -3,8 +3,8 @@
 Articles become nodes of a cosine-similarity graph (title plus lead
 sentences, TF-IDF).  MCL alternates random-walk expansion with inflation on
 the column-stochastic matrix until the flow stabilizes; the attractor
-structure yields the event clusters.  Each cluster is dated with the most
-frequently occurring date among its articles and scored by how often that
+structure yields the event clusters.  Each cluster is dated with its top
+candidate date, counted over its own articles, and scored by how often that
 date is mentioned inside the cluster.
 """
 
@@ -25,7 +25,7 @@ from .config import (
 )
 from .corpus import Topic, tokenize
 from .errors import EmptyCorpus
-from .temporal import date_window
+from .temporal import candidate_dates
 from .tfidf import Vectorizer, build_vectorizer
 
 LEAD_SENTENCES = 5
@@ -152,56 +152,32 @@ def markov_cluster(
     return MclResult(clusters, converged, iterations)
 
 
-def _date_occurrences(nodes, topic: Topic) -> dict[Date, int]:
-    in_window = date_window(topic)
-    counts: dict[Date, int] = {}
-    for node in nodes:
-        article = topic.articles[node]
-        counts[article.publish_date] = counts.get(article.publish_date, 0) + 1
-        for sentence in article.sentences:
-            for mention in sentence.mentions:
-                if in_window(mention.resolved):
-                    counts[mention.resolved] = counts.get(mention.resolved, 0) + 1
-    return counts
-
-
-def assign_event_date(cluster_nodes, topic: Topic) -> Date:
-    """Most frequent date among the cluster's publish dates and its mentions
-    inside the topic's `date_window`, so always a candidate date.
-
-    Ties go to the earlier date.
-    """
-    counts = _date_occurrences(cluster_nodes, topic)
-    return min(counts, key=lambda day: (-counts[day], day))
-
-
-def _cluster_mentions(nodes, topic: Topic, day: Date) -> int:
-    total = 0
-    for node in nodes:
-        for sentence in topic.articles[node].sentences:
-            total += sum(1 for m in sentence.mentions if m.resolved == day)
-    return total
-
-
 def make_event_clusters(
     node_sets: list[frozenset[int]], topic: Topic
 ) -> list[EventCluster]:
+    """Date each cluster with the candidate date its articles count most often.
+
+    The count is `candidate_dates` over the cluster's articles: articles
+    published on the day plus mentions inside the topic's window.  Ties go
+    to the earlier date.  The day's mentions are the cluster's mention count.
+    """
     clusters = []
     for nodes in node_sets:
-        day = assign_event_date(nodes, topic)
+        best = min(
+            candidate_dates(topic, [topic.articles[n] for n in nodes]),
+            key=lambda c: (-(c.pub_article_count + c.mention_count), c.date),
+        )
         clusters.append(
             EventCluster(
                 article_ids=frozenset(topic.articles[n].id for n in nodes),
-                event_date=day,
-                mention_count=_cluster_mentions(nodes, topic, day),
+                event_date=best.date,
+                mention_count=best.mention_count,
             )
         )
     return clusters
 
 
-def score_events(
-    clusters: list[EventCluster], topic: Topic
-) -> list[tuple[EventCluster, float]]:
+def score_events(clusters: list[EventCluster]) -> list[tuple[EventCluster, float]]:
     """Score each event by mentions of its date inside its own articles.
 
     Sorted best first; ties go to the earlier event date, then the larger
@@ -228,4 +204,4 @@ def detect_events(
     graph = build_similarity_graph(topic, threshold, vec)
     result = markov_cluster(graph, expansion, inflation, max_iter, eps, prune)
     clusters = make_event_clusters(result.clusters, topic)
-    return score_events(clusters, topic), result
+    return score_events(clusters), result

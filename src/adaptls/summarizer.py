@@ -25,19 +25,17 @@ def expert_k(timelines: list[Timeline]) -> int:
     return max(1, int(sum(lengths) / len(lengths) + 0.5))
 
 
-def candidate_sentences(vec: Vectorizer, day: Date) -> list[int]:
-    """Rows published on `day` plus rows explicitly mentioning it."""
-    rows = set(vec.by_pub_date.get(day, ())) | set(vec.by_mention.get(day, ()))
-    return sorted(rows)
-
-
-def _cluster_candidates(
-    vec: Vectorizer, day: Date, cluster: EventCluster
+def candidate_sentences(
+    vec: Vectorizer, day: Date, cluster: EventCluster | None = None
 ) -> list[int]:
-    """Rows of the cluster's articles plus rows elsewhere mentioning `day`."""
+    """Rows mentioning `day`, plus the rows published on it or, for an
+    event, the rows of the cluster's articles."""
     rows = set(vec.by_mention.get(day, ()))
-    for article_id in cluster.article_ids:
-        rows.update(vec.by_article.get(article_id, ()))
+    if cluster is None:
+        rows.update(vec.by_pub_date.get(day, ()))
+    else:
+        for article_id in cluster.article_ids:
+            rows.update(vec.by_article.get(article_id, ()))
     return sorted(rows)
 
 
@@ -127,11 +125,7 @@ def build_timeline(
     summarize = centroid_rank if method == "rank" else centroid_opt
     entries = []
     for day, cluster in selected:
-        if cluster is None:
-            cands = candidate_sentences(vec, day)
-        else:
-            cands = _cluster_candidates(vec, day, cluster)
-        picked = summarize(cands, vec, k)
+        picked = summarize(candidate_sentences(vec, day, cluster), vec, k)
         if picked:
             entries.append((day, [vec.sentences[row].raw for row in picked]))
     if not entries:

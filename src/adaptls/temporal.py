@@ -8,11 +8,10 @@ relative words.  Anything it cannot parse is skipped, never guessed.
 from __future__ import annotations
 
 import re
-from collections.abc import Callable
 from dataclasses import dataclass
 from datetime import date as Date, timedelta
 
-from .corpus import LOOKBACK_DAYS, Topic
+from .corpus import LOOKBACK_DAYS, Article, Topic
 from .errors import EmptyCorpus
 
 # A month-day mention that lands more than half a year after the anchor is
@@ -188,37 +187,31 @@ def annotate_topic(topic: Topic) -> Topic:
     return topic
 
 
-def date_window(topic: Topic) -> Callable[[Date], bool]:
-    """Whether a mentioned date counts: inside [min_pub - LOOKBACK_DAYS, max_pub].
-
-    Candidate dates and event dating both count only such mentions, so an
-    event is always dated on a candidate.  Publication dates lie inside.
-    """
-    lo = topic.min_pub - timedelta(days=LOOKBACK_DAYS)
-    hi = topic.max_pub
-    return lambda day: lo <= day <= hi
-
-
-def candidate_dates(topic: Topic) -> list[DateCandidate]:
+def candidate_dates(
+    topic: Topic, articles: list[Article] | None = None
+) -> list[DateCandidate]:
     """Enumerate candidate dates from publication dates and date mentions.
 
-    Mentions count only inside `date_window`; publication dates always
-    qualify.  Requires annotate_topic to have run.
+    Counts run over `articles`, all of the topic's by default.  A mention
+    counts only inside the whole topic's window [min_pub - LOOKBACK_DAYS,
+    max_pub], where every publication date lies, so a subset's candidates
+    are candidates of the topic.  Requires annotate_topic to have run.
     """
     if not topic.articles:
         raise EmptyCorpus(f"topic {topic.name!r} has no articles")
-    in_window = date_window(topic)
+    lo = topic.min_pub - timedelta(days=LOOKBACK_DAYS)
+    hi = topic.max_pub
 
     pub_articles: dict[Date, int] = {}
     pub_sentences: dict[Date, int] = {}
     mention_counts: dict[Date, int] = {}
-    for article in topic.articles:
+    for article in topic.articles if articles is None else articles:
         day = article.publish_date
         pub_articles[day] = pub_articles.get(day, 0) + 1
         pub_sentences[day] = pub_sentences.get(day, 0) + len(article.sentences)
         for sentence in article.sentences:
             for mention in sentence.mentions:
-                if in_window(mention.resolved):
+                if lo <= mention.resolved <= hi:
                     mention_counts[mention.resolved] = (
                         mention_counts.get(mention.resolved, 0) + 1
                     )

@@ -878,6 +878,31 @@ class TestMalformedInput:
         assert "lambda must be a finite number >= 0" in _one_json_error(capsys)["message"]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run", "--alpha", "x"], "adaptls run: argument --alpha: invalid float value: 'x'"),
+            (["run", "--c-max", "1.5"], "adaptls run: argument --c-max: invalid int value: '1.5'"),
+            (["run", "--method", "bogus"], "adaptls run: argument --method: invalid choice: 'bogus'"),
+            (["run", "--bogus"], "adaptls: unrecognized arguments: --bogus"),
+            (["eval", "--dataset", "ds"], "adaptls eval: the following arguments are required: --pred"),
+            (["bogus"], "adaptls: argument command: invalid choice: 'bogus'"),
+            ([], "adaptls: the following arguments are required: command"),
+        ],
+        ids=["alpha-x", "c-max-1.5", "method-bogus", "unknown-flag", "eval-no-pred", "command-bogus", "no-command"],
+    )
+    def test_usage_errors(self, capsys, argv, message):
+        assert main(argv) == 1
+        err = _one_json_error(capsys)
+        assert err["error"] == "ValueError"
+        assert err["message"].startswith(message)
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "--help"])
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: adaptls run")
+
     @settings(
         max_examples=150,
         deadline=None,

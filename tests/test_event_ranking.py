@@ -1,22 +1,22 @@
 import math
-from datetime import date
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from adaptls.corpus import Article, Sentence, Topic, tokenize
+from adaptls.corpus import LOOKBACK_DAYS, Article, Sentence, Topic, tokenize
 from adaptls.errors import EmptyCorpus
 from adaptls.event_ranking import (
     EventCluster,
     SimilarityGraph,
-    assign_event_date,
     build_similarity_graph,
     detect_events,
     make_event_clusters,
     markov_cluster,
     score_events,
 )
-from adaptls.temporal import annotate_topic, candidate_dates
+from adaptls.temporal import DateMention, annotate_topic, candidate_dates
 from adaptls.tfidf import build_vectorizer
 import tfidf_oracle
 
@@ -60,6 +60,36 @@ def reference_mcl(adjacency, expansion=2, inflation=2.0, max_iter=100, eps=1e-6,
         if node not in covered:
             merged.append({node})
     return sorted((frozenset(g) for g in merged), key=min)
+
+
+def reference_event_date(nodes, topic):
+    """(event date, mention count) of a cluster by a direct scan, kept independent
+    of the implementation.
+
+    Counts each article's publication date and each mention inside the
+    topic's window [min_pub - LOOKBACK_DAYS, max_pub], takes the most
+    counted date (ties to the earlier one), then counts every mention of
+    that date in the cluster's sentences.
+    """
+    lo = topic.min_pub - timedelta(days=LOOKBACK_DAYS)
+    hi = topic.max_pub
+    counts = {}
+    for node in nodes:
+        article = topic.articles[node]
+        counts[article.publish_date] = counts.get(article.publish_date, 0) + 1
+        for sentence in article.sentences:
+            for mention in sentence.mentions:
+                if lo <= mention.resolved <= hi:
+                    counts[mention.resolved] = counts.get(mention.resolved, 0) + 1
+    day = min(counts, key=lambda d: (-counts[d], d))
+    mentions = sum(
+        1
+        for node in nodes
+        for sentence in topic.articles[node].sentences
+        for m in sentence.mentions
+        if m.resolved == day
+    )
+    return day, mentions
 
 
 def _graph(adjacency):
@@ -196,7 +226,7 @@ class TestSimilarityGraph:
 class TestEventDating:
     def test_single_article_uses_publish_date(self):
         topic = _topic([(date(2020, 1, 1), "t", ["Nothing dated."])])
-        assert assign_event_date({0}, topic) == date(2020, 1, 1)
+        assert make_event_clusters([frozenset({0})], topic)[0].event_date == date(2020, 1, 1)
 
     def test_repeated_mention_beats_publish_dates(self):
         specs = [
@@ -205,7 +235,7 @@ class TestEventDating:
             (date(2011, 3, 14), "aftermath", ["Cleanup continues."]),
         ]
         topic = _topic(specs)
-        assert assign_event_date({0, 1, 2}, topic) == date(2011, 3, 11)
+        assert make_event_clusters([frozenset({0, 1, 2})], topic)[0].event_date == date(2011, 3, 11)
 
     def test_tie_breaks_to_earlier_date(self):
         specs = [
@@ -214,7 +244,7 @@ class TestEventDating:
         ]
         topic = _topic(specs)
         # both dates occur once; earlier wins
-        assert assign_event_date({0, 1}, topic) == date(2020, 1, 2)
+        assert make_event_clusters([frozenset({0, 1})], topic)[0].event_date == date(2020, 1, 2)
 
     @pytest.mark.parametrize("mentioned", ["2020-06-01", "2009-12-01"])
     def test_mentions_outside_the_date_window_are_not_counted(self, mentioned):
@@ -225,16 +255,59 @@ class TestEventDating:
             (date(2020, 1, 2), "plan", [f"Tickets for {mentioned} sold."]),
         ]
         topic = _topic(specs)
-        day = assign_event_date({0, 1}, topic)
+        day = make_event_clusters([frozenset({0, 1})], topic)[0].event_date
         assert day == date(2020, 1, 1)
         assert day in {c.date for c in candidate_dates(topic)}
+
+
+DATING_START = date(2020, 1, 10)
+
+
+@st.composite
+def dated_topics(draw):
+    """A topic with mentions set directly, and a non-empty set of its nodes.
+
+    Publication dates span a few days, so counts often tie.  Mentions name
+    days inside the window, on its edges, just before it and after the last
+    publication date; a sentence may repeat a mention, and an article may
+    have no sentences.
+    """
+    pubs = draw(st.lists(st.integers(0, 4), min_size=1, max_size=6))
+    min_pub = DATING_START + timedelta(days=min(pubs))
+    max_pub = DATING_START + timedelta(days=max(pubs))
+    lo = min_pub - timedelta(days=LOOKBACK_DAYS)
+    days = [lo - timedelta(days=1), lo, lo + timedelta(days=1), min_pub - timedelta(days=1)]
+    days += [DATING_START + timedelta(days=offset) for offset in range(5)]
+    days += [max_pub, max_pub + timedelta(days=1), max_pub + timedelta(days=30)]
+    articles = []
+    for i, offset in enumerate(pubs):
+        aid = f"a{i}"
+        mention_days = draw(
+            st.lists(st.lists(st.sampled_from(days), max_size=3), max_size=3)
+        )
+        sentences = [
+            Sentence(aid, j, "s", ["s"], [DateMention(d, (0, 1), "explicit") for d in ds])
+            for j, ds in enumerate(mention_days)
+        ]
+        articles.append(Article(aid, DATING_START + timedelta(days=offset), "t", sentences))
+    topic = Topic("t", articles)
+    nodes = draw(st.sets(st.integers(0, len(articles) - 1), min_size=1))
+    return topic, frozenset(nodes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(dated_topics())
+def test_event_dating_matches_reference_scan(case):
+    topic, nodes = case
+    cluster = make_event_clusters([nodes], topic)[0]
+    assert (cluster.event_date, cluster.mention_count) == reference_event_date(nodes, topic)
 
 
 class TestScoreEvents:
     def test_pub_only_event_scores_zero(self):
         topic = _topic([(date(2020, 1, 1), "t", ["Nothing dated."])])
         clusters = make_event_clusters([frozenset({0})], topic)
-        scored = score_events(clusters, topic)
+        scored = score_events(clusters)
         assert scored[0][1] == 0.0
 
     def test_mention_count_is_score(self):
@@ -244,15 +317,15 @@ class TestScoreEvents:
         ]
         topic = _topic(specs)
         clusters = make_event_clusters([frozenset({0, 1})], topic)
-        scored = score_events(clusters, topic)
+        scored = score_events(clusters)
         assert scored[0][0].event_date == date(2011, 3, 11)
         assert scored[0][1] == 4.0
 
     def test_pure_function_identical_scores(self):
         topic = _topic([(date(2020, 1, 1), "t", ["Seen 2020-01-01 here."])])
         clusters = make_event_clusters([frozenset({0})], topic)
-        first = score_events(clusters, topic)
-        second = score_events(clusters, topic)
+        first = score_events(clusters)
+        second = score_events(clusters)
         assert first == second
 
 

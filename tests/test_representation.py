@@ -14,7 +14,6 @@ from hypothesis import example, given, settings, strategies as st
 from adaptls.corpus import Article, Sentence, Topic
 from adaptls.event_ranking import EventCluster, build_similarity_graph
 from adaptls.summarizer import (
-    _cluster_candidates,
     candidate_sentences,
     centroid_opt,
     centroid_rank,
@@ -76,7 +75,7 @@ def test_candidates_and_summaries_match_reference(topic):
         _check_summarizers(rows, vec)
 
         members = frozenset(a.id for a in topic.articles[:2])
-        rows = _cluster_candidates(vec, day, EventCluster(members, day, 0))
+        rows = candidate_sentences(vec, day, EventCluster(members, day, 0))
         expected = tfidf_oracle.cluster_candidates(topic, day, members)
         assert _keys(vec.sentences[r] for r in rows) == _keys(expected)
         _check_summarizers(rows, vec)
