@@ -9,7 +9,6 @@ from the manifest alone.
 from __future__ import annotations
 
 import argparse
-import csv
 import importlib
 import json
 import re
@@ -17,7 +16,6 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from . import evaluation
 from .config import (
     CONSTRAINTS,
     DATE_METHODS,
@@ -43,19 +41,22 @@ from .errors import AdaptlsError, InsufficientTopics, MissingPrediction, Unknown
 
 # Names bound on first use, each to (module, attribute or None for the module
 # itself).  They load numpy, multiprocessing or the date patterns, none of
-# which `eval` needs.  Each stays an attribute of this module that a caller
+# which `eval` needs, or the evaluation metrics, which `train` and `run` do
+# not need.  Each stays an attribute of this module that a caller
 # may replace (bench/tracing.py does), and `_bind` never overwrites one.
 _LAZY = {
     "adaptive_selection": (".adaptive_selection", None),
     "date_ranking": (".date_ranking", None),
     "event_ranking": (".event_ranking", None),
     "build_timeline": (".summarizer", "build_timeline"),
+    "candidate_sentences": (".summarizer", "candidate_sentences"),
     "expert_k": (".summarizer", "expert_k"),
     "build_vectorizer": (".tfidf", "build_vectorizer"),
     "annotate_topic": (".temporal", "annotate_topic"),
+    "evaluation": (".evaluation", None),
     "ProcessPoolExecutor": ("concurrent.futures.process", "ProcessPoolExecutor"),
 }
-_PIPELINE = tuple(name for name in _LAZY if name != "ProcessPoolExecutor")
+_PIPELINE = tuple(name for name in _LAZY if name not in ("evaluation", "ProcessPoolExecutor"))
 
 
 def __getattr__(name: str):
@@ -118,29 +119,37 @@ def _load_regressor(config: RunConfig, topic_name: str):
     return date_ranking.Regressor.load(path)
 
 
-def _score_items(topic: Topic, config: RunConfig, vec=None):
+def _score_items(topic: Topic, config: RunConfig, vec):
     """Ranked (date, cluster-or-None, score) items for the configured method.
 
-    Event methods build their article graph from `vec`, the topic's
-    representation (built here when not given).
+    An item is kept only if it can be summarized: its pool of candidate
+    sentences in `vec`, the topic's representation, is not empty.  So the
+    knee, l and the entries written count the same items.  Event methods
+    build their article graph from `vec`.
     """
     if config.method in DATE_METHODS:
         regressor = _load_regressor(config, topic.name)
-        return [
+        items = [
             (cand.date, None, score)
             for cand, score in date_ranking.score_dates(regressor, topic)
         ]
-    scored, _ = event_ranking.detect_events(
-        topic,
-        threshold=config.graph_threshold,
-        expansion=config.mcl_expansion,
-        inflation=config.mcl_inflation,
-        max_iter=config.mcl_max_iter,
-        eps=config.mcl_eps,
-        prune=config.mcl_prune,
-        vec=vec,
-    )
-    return [(cluster.event_date, cluster, score) for cluster, score in scored]
+    else:
+        scored, _ = event_ranking.detect_events(
+            topic,
+            threshold=config.graph_threshold,
+            expansion=config.mcl_expansion,
+            inflation=config.mcl_inflation,
+            max_iter=config.mcl_max_iter,
+            eps=config.mcl_eps,
+            prune=config.mcl_prune,
+            vec=vec,
+        )
+        items = [(cluster.event_date, cluster, score) for cluster, score in scored]
+    return [
+        (day, cluster, score)
+        for day, cluster, score in items
+        if candidate_sentences(vec, day, cluster)
+    ]
 
 
 def _select_top(items, limit: int):
@@ -240,7 +249,7 @@ def cmd_run(args) -> int:
     # A fork pool starts all its workers at the first task: never more than topics.
     workers = min(config.jobs, len(dataset))
     if workers > 1:
-        _bind(_LAZY)  # before the fork, so that the workers inherit them
+        _bind(_PIPELINE + ("ProcessPoolExecutor",))  # before the fork: workers inherit them
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_topic = list(
                 pool.map(_run_topic, dataset, [config] * len(dataset))
@@ -284,6 +293,7 @@ def _load_prediction(pred_dir: Path, topic_name: str, ref_name: str) -> Timeline
 
 def cmd_eval(args) -> int:
     pred_dir = Path(args.pred)
+    _bind(["evaluation"])
     report = evaluation.EvalReport()
     for topic_name, references in load_references(args.dataset):
         for reference in references:
@@ -304,7 +314,7 @@ def cmd_eval(args) -> int:
 
 def cmd_stats(args) -> int:
     dataset = load_dataset(args.dataset)
-    _bind(["annotate_topic"])
+    _bind(["annotate_topic", "evaluation"])
     for topic in dataset:
         annotate_topic(topic)
     report = evaluation.dataset_stats(dataset)
@@ -323,9 +333,9 @@ def cmd_knee_curve(args) -> int:
     matches = [t for t in dataset if t.name == args.topic]
     if not matches:
         raise UnknownTopic(f"topic {args.topic!r} not in dataset")
-    _bind(_PIPELINE)
+    _bind(_PIPELINE + ("evaluation",))
     topic = _prepare(matches[0], config)
-    items = _score_items(topic, config)
+    items = _score_items(topic, config, build_vectorizer(topic))
 
     l, curve, knee = _choose_length(items, config)
     references = topic.reference_timelines
@@ -340,6 +350,8 @@ def cmd_knee_curve(args) -> int:
         for ref in references:
             row.append(f"{evaluation.date_f1(pred, ref).f1:.6f}")
         rows.append(row)
+
+    import csv  # only this command writes CSV
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

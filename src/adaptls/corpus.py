@@ -40,13 +40,54 @@ LATEST_PUBLISH_DATE = Date.max - timedelta(days=STEP_DAYS)
 # domain types
 
 
-@dataclass
 class Sentence:
-    article_id: str
-    index: int
-    raw: str
-    tokens: list[str]
-    mentions: list["DateMention"] = field(default_factory=list)
+    """One sentence of an article: raw text, tokens and date mentions.
+
+    `tokens` are the ones given (pretokenized input) or else `tokenize(raw)`,
+    computed on first read and kept.  Equality, repr and pickles see the
+    tokens' value, never whether they were computed yet: a pickle holds only
+    given tokens.
+    """
+
+    __slots__ = ("article_id", "index", "raw", "mentions", "_given", "_tokens")
+
+    def __init__(
+        self,
+        article_id: str,
+        index: int,
+        raw: str,
+        tokens: list[str] | None = None,
+        mentions: list["DateMention"] | None = None,
+    ):
+        self.article_id = article_id
+        self.index = index
+        self.raw = raw
+        self.mentions = [] if mentions is None else mentions
+        self._given = self._tokens = tokens
+
+    @property
+    def tokens(self) -> list[str]:
+        if self._tokens is None:
+            self._tokens = tokenize(self.raw)
+        return self._tokens
+
+    def _fields(self) -> tuple:
+        return (self.article_id, self.index, self.raw, self.tokens, self.mentions)
+
+    def __eq__(self, other):
+        if other.__class__ is not Sentence:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None  # mutable, as a dataclass with eq
+
+    def __repr__(self) -> str:
+        names = ("article_id", "index", "raw", "tokens", "mentions")
+        pairs = ", ".join(f"{n}={v!r}" for n, v in zip(names, self._fields()))
+        return f"Sentence({pairs})"
+
+    def __reduce__(self):
+        return Sentence, (self.article_id, self.index, self.raw, self._given, self.mentions)
 
 
 @dataclass
@@ -272,7 +313,7 @@ def _article_from_obj(obj: dict, where: str) -> Article:
             sentences.append(Sentence(article_id, index, raws[index], toks))
     else:
         for index, raw in enumerate(sentence_split(obj["text"])):
-            sentences.append(Sentence(article_id, index, raw, tokenize(raw)))
+            sentences.append(Sentence(article_id, index, raw))
     return Article(article_id, publish_date, obj["title"], sentences)
 
 

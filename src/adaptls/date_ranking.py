@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from datetime import date as Date, timedelta
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -36,21 +37,23 @@ def feature_matrix(topic: Topic) -> tuple[list[DateCandidate], np.ndarray]:
     the first and the last publication date counted from each end.
     """
     candidates = candidate_dates(topic)
-    counts = {c.date: c.mention_count for c in candidates if c.mention_count}
-    total = sum(counts.values())
-    min_pub, max_pub = topic.min_pub, topic.max_pub
-    duration = (max_pub - min_pub).days
+    ordinals = [c.date.toordinal() for c in candidates]
+    # prefix[i]: the mentions of the first i candidates, which are date-sorted
+    prefix = [0, *accumulate(c.mention_count for c in candidates)]
+    total = prefix[-1]
+    first, last = topic.min_pub.toordinal(), topic.max_pub.toordinal()
+    duration = last - first
 
-    def window(day: Date, days: int) -> int:
-        return sum(
-            counts.get(day + timedelta(days=off), 0) for off in range(-days, days + 1)
-        )
+    def window(day: int, days: int) -> int:
+        """Mentions of the dates within `days` of ordinal `day`."""
+        lo, hi = bisect_left(ordinals, day - days), bisect_right(ordinals, day + days)
+        return prefix[hi] - prefix[lo]
 
     rows = []
-    for cand in candidates:
+    for cand, day in zip(candidates, ordinals):
         if duration > 0:
-            pos_first = _clamp01((cand.date - min_pub).days / duration)
-            pos_last = _clamp01((max_pub - cand.date).days / duration)
+            pos_first = _clamp01((day - first) / duration)
+            pos_last = _clamp01((last - day) / duration)
         else:
             pos_first = pos_last = 0.0
         rows.append(
@@ -58,9 +61,9 @@ def feature_matrix(topic: Topic) -> tuple[list[DateCandidate], np.ndarray]:
                 math.log1p(cand.mention_count),
                 math.log1p(cand.pub_article_count),
                 math.log1p(cand.pub_sentence_count),
-                math.log1p(window(cand.date, 1)),
-                math.log1p(window(cand.date, 3)),
-                math.log1p(window(cand.date, 7)),
+                math.log1p(window(day, 1)),
+                math.log1p(window(day, 3)),
+                math.log1p(window(day, 7)),
                 cand.mention_count / total if total else 0.0,
                 pos_first,
                 pos_last,

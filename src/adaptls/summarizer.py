@@ -117,19 +117,19 @@ def build_timeline(
 
     `method` is "rank" (centroid-rank) or "opt" (centroid-opt).  For event
     selections the candidate pool is the cluster's own sentences plus
-    sentences elsewhere that mention the event date.  Dates with no
-    candidates are dropped.
+    sentences elsewhere that mention the event date.  A selected date with
+    no candidate sentences raises EmptyTimeline: callers select only items
+    that can be summarized.
     """
     if method not in SUMMARIZERS:
         raise ValueError(f"unknown summarizer method {method!r}")
     summarize = centroid_rank if method == "rank" else centroid_opt
     entries = []
     for day, cluster in selected:
-        picked = summarize(candidate_sentences(vec, day, cluster), vec, k)
-        if picked:
-            entries.append((day, [vec.sentences[row].raw for row in picked]))
-    if not entries:
-        raise EmptyTimeline(
-            f"no selected date of topic {topic.name!r} has candidate sentences"
-        )
+        rows = candidate_sentences(vec, day, cluster)
+        if not rows:
+            raise EmptyTimeline(
+                f"selected date {day.isoformat()} of topic {topic.name!r} has no candidate sentences"
+            )
+        entries.append((day, [vec.sentences[row].raw for row in summarize(rows, vec, k)]))
     return Timeline(name, entries)

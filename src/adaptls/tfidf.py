@@ -130,27 +130,24 @@ class Vectorizer:
 def build_vectorizer(topic: Topic) -> Vectorizer:
     """The topic's TF-IDF representation; requires annotate_topic to have run."""
     articles = sorted(topic.articles, key=lambda a: a.id)
-    pairs = [(a, s) for a in articles for s in a.sentences]
-    if not pairs:
+    sentences = [s for a in articles for s in a.sentences]
+    if not sentences:
         raise EmptyCorpus(f"topic {topic.name!r} has no sentences")
-    token_lists = [s.tokens for _, s in pairs]
+    token_lists = [s.tokens for s in sentences]
     terms = sorted(set(chain.from_iterable(token_lists)))
     vocabulary = {tok: i for i, tok in enumerate(terms)}
     rows, idf = _tfidf_rows(vocabulary, token_lists)
     by_pub_date: dict[Date, list[int]] = {}
     by_mention: dict[Date, list[int]] = {}
     by_article: dict[str, list[int]] = {}
-    for row, (article, sentence) in enumerate(pairs):
-        by_pub_date.setdefault(article.publish_date, []).append(row)
-        by_article.setdefault(article.id, []).append(row)
+    start = 0  # an article's rows are the run that starts here
+    for article in articles:
+        if article.sentences:
+            end = start + len(article.sentences)
+            by_pub_date.setdefault(article.publish_date, []).extend(range(start, end))
+            by_article.setdefault(article.id, []).extend(range(start, end))
+            start = end
+    for row, sentence in enumerate(sentences):
         for day in {m.resolved for m in sentence.mentions}:
             by_mention.setdefault(day, []).append(row)
-    return Vectorizer(
-        vocabulary,
-        idf,
-        rows,
-        [s for _, s in pairs],
-        by_pub_date,
-        by_mention,
-        by_article,
-    )
+    return Vectorizer(vocabulary, idf, rows, sentences, by_pub_date, by_mention, by_article)

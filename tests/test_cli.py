@@ -233,10 +233,21 @@ class TestJobs:
 
     def test_real_pool_matches_serial_on_bench_corpus(self, tmp_path, fresh_python):
         """`--jobs 2` on the benchmark's events-clustered corpus, seed 1, as generated there."""
-        fresh_python("-c", GENERATE, "events-clustered", "1", str(tmp_path))
+        self._check_bench_corpus(tmp_path, fresh_python, "events-clustered", "adprm-e")
+
+    def test_real_pool_matches_serial_on_raw_bench_corpus(self, tmp_path, fresh_python):
+        """The same on dates-raw, whose raw sentences are tokenized in the workers."""
+        self._check_bench_corpus(tmp_path, fresh_python, "dates-raw", "adprm-d")
+
+    @staticmethod
+    def _check_bench_corpus(tmp_path, fresh_python, workload, method):
+        fresh_python("-c", GENERATE, workload, "1", str(tmp_path))
         out = tmp_path / "out"
         argv = ["-c", START_METHOD_MAIN, "fork", "run", "--dataset-dir", str(tmp_path / "dataset")]
-        argv += ["--output-dir", str(out), "--method", "adprm-e", "--constraint", "adaptive"]
+        argv += ["--output-dir", str(out), "--method", method, "--constraint", "adaptive"]
+        if method == "adprm-d":
+            assert main(["train", str(tmp_path / "dataset"), "--out", str(tmp_path / "reg")]) == 0
+            argv += ["--regressors", str(tmp_path / "reg")]
         outputs = []
         for jobs in ("1", "2"):
             shutil.rmtree(out, ignore_errors=True)
@@ -339,6 +350,60 @@ class TestRunBase:
         assert main(argv) == 1
         err = json.loads(capsys.readouterr().err)
         assert "constraint" in err["message"]
+
+
+# Method and constraint pairs that `run` accepts; baselines take only "base".
+RUN_MODES = [("adprm-d", "adaptive"), ("adprm-d", "base"), ("adprm-e", "adaptive"),
+             ("adprm-e", "base"), ("datewise", "base"), ("clust", "base")]
+
+
+def _with_empty_articles(mini_dir: Path, root: Path, days: list[str]) -> Path:
+    """Mini with 8 text-less articles on each of `days` added to topic alpha,
+    and regressors that score a date ln(1 + articles published on it)."""
+    shutil.copytree(mini_dir, root / "dataset")
+    with (root / "dataset" / "alpha" / "articles.jsonl").open("a", encoding="utf-8") as handle:
+        for day in days:
+            for i in range(8):
+                article = {"id": f"empty-{day}-{i}", "publish_date": day, "title": "Empty", "text": ""}
+                handle.write(json.dumps(article) + "\n")
+    (root / "reg").mkdir()
+    for topic in ("alpha", "beta", "gamma"):
+        regressor = {"weights": [0, 1, 0, 0, 0, 0, 0, 0, 0], "bias": 0, "lambda": 1}
+        (root / "reg" / f"regressor_{topic}.json").write_text(json.dumps(regressor))
+    return root
+
+
+class TestUnsummarizableDates:
+    """Dates whose articles hold no sentence are dropped before the knee, so
+    each manifest `l` is the number of entries written."""
+
+    @pytest.mark.parametrize("days", [["2021-01-03"], ["2021-01-03", "2021-01-02"]], ids=["8", "16"])
+    @pytest.mark.parametrize("method, constraint", RUN_MODES)
+    def test_manifest_l_equals_entries_written(self, mini_dir, tmp_path, days, method, constraint):
+        root = _with_empty_articles(mini_dir, tmp_path, days)
+        out = tmp_path / "out"
+        argv = ["run", "--dataset-dir", str(root / "dataset"), "--output-dir", str(out)]
+        argv += ["--method", method, "--constraint", constraint, "--regressors", str(root / "reg")]
+        assert main(argv) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert len(manifest["outputs"]) == 4
+        for entry in manifest["outputs"]:
+            entries = json.loads((out / entry["file"]).read_text())["entries"]
+            assert len(entries) == entry["l"]
+            assert not {e["date"] for e in entries} & set(days)
+
+    # alpha's summarizable items: the dates 2021-01-01, -04 ("yesterday") and
+    # -05; the events of its two articles with text
+    @pytest.mark.parametrize("method, items", [("adprm-d", 3), ("adprm-e", 2)])
+    def test_knee_curve_skips_them(self, mini_dir, tmp_path, method, items):
+        root = _with_empty_articles(mini_dir, tmp_path, ["2021-01-03", "2021-01-02"])
+        out = tmp_path / "curve.csv"
+        argv = ["knee-curve", "--dataset-dir", str(root / "dataset"), "--topic", "alpha"]
+        argv += ["--method", method, "--regressors", str(root / "reg"), "--out", str(out)]
+        assert main(argv) == 0
+        with out.open() as handle:
+            rows = list(csv.DictReader(handle))
+        assert [int(r["c"]) for r in rows] == list(range(1, items + 1))
 
 
 class TestConfigFile:

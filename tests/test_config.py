@@ -1,4 +1,5 @@
-"""Which modules a command loads: the config and `eval` need no numpy."""
+"""Which modules a command loads: the config and `eval` need no numpy, and
+`train` and `run` no evaluation metrics."""
 
 from pathlib import Path
 
@@ -9,14 +10,19 @@ from adaptls.cli import main
 MINI_DIR = Path(__file__).parent / "data" / "mini"
 MODULES = ("numpy", "multiprocessing", "concurrent.futures.process")
 
-# `adaptls ARGV` in this interpreter, then the names of MODULES it loaded.
-COMMAND = f"""
+
+def _command(modules) -> str:
+    """`adaptls ARGV` in this interpreter, then the names of `modules` it loaded."""
+    return f"""
 import contextlib, io, sys
 from adaptls.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     assert main(sys.argv[1:]) == 0
-print(*[name for name in {MODULES!r} if name in sys.modules])
+print(*[name for name in {modules!r} if name in sys.modules])
 """
+
+
+COMMAND = _command(MODULES)
 
 
 def test_config_imports_no_numpy(fresh_python):
@@ -40,3 +46,13 @@ def test_eval_and_stats_load_no_numpy(fresh_python, predictions, tmp_path):
 def test_serial_run_loads_no_pool(fresh_python, tmp_path):
     run = ["run", "--dataset-dir", str(MINI_DIR), "--output-dir", str(tmp_path / "out"), "--method", "adprm-e"]
     assert fresh_python("-c", COMMAND, *run, "--jobs", "1").split() == ["numpy"]
+
+
+def test_train_and_run_load_no_evaluation(fresh_python, tmp_path):
+    command = _command(("adaptls.evaluation", "csv"))
+    train = ["train", str(MINI_DIR), "--out", str(tmp_path / "reg")]
+    assert fresh_python("-c", command, *train).split() == []
+    for method in ("adprm-d", "adprm-e"):
+        run = ["run", "--dataset-dir", str(MINI_DIR), "--output-dir", str(tmp_path / method)]
+        run += ["--method", method, "--regressors", str(tmp_path / "reg")]
+        assert fresh_python("-c", command, *run).split() == []

@@ -1,11 +1,14 @@
 import json
 import math
+import pickle
 from datetime import timedelta
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from adaptls import corpus
+from adaptls.cli import main
 from adaptls.corpus import (
     EARLIEST_PUBLISH_DATE,
     LATEST_PUBLISH_DATE,
@@ -288,6 +291,32 @@ class TestLoadTopic:
         (topic_dir / "timelines.jsonl").write_text("")
         topic = load_topic(topic_dir)
         assert topic.articles[0].sentences[0].tokens == ["地震", "发生"]
+
+    def test_tokens_read_or_not_are_the_same_sentence(self):
+        for supplied in (None, ["地震", "发生"]):
+            read, unread = (Sentence("a1", 0, "地震发生。", supplied) for _ in range(2))
+            assert read.tokens == (supplied or ["地", "震", "发", "生"])
+            assert pickle.dumps(read) == pickle.dumps(unread)
+            assert repr(read) == repr(unread) and read == unread
+            copy = pickle.loads(pickle.dumps(read))
+            assert copy == read and repr(copy) == repr(read)
+        assert Sentence("a1", 0, "地震发生。") != Sentence("a1", 0, "地震发生。", ["地震", "发生"])
+
+    def test_train_and_stats_never_tokenize(self, mini_dir, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(text):
+            calls.append(text)
+            return tokenize(text)
+
+        monkeypatch.setattr(corpus, "tokenize", counting)
+        assert main(["train", str(mini_dir), "--out", str(tmp_path / "reg")]) == 0
+        assert main(["stats", str(mini_dir)]) == 0
+        assert calls == []
+        run = ["run", "--dataset-dir", str(mini_dir), "--output-dir", str(tmp_path / "out")]
+        assert main(run + ["--method", "adprm-e"]) == 0
+        # `run` tokenizes each sentence once
+        assert sorted(calls) == sorted(s.raw for t in load_dataset(mini_dir) for s in t.sentences())
 
     def test_round_trip(self, mini_dataset, tmp_path):
         for topic in mini_dataset:

@@ -3,7 +3,9 @@ from datetime import date, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import feature_oracle
 from adaptls.corpus import Article, Sentence, Timeline, Topic, tokenize
 from adaptls.date_ranking import (
     N_FEATURES,
@@ -15,7 +17,7 @@ from adaptls.date_ranking import (
     training_rows,
 )
 from adaptls.errors import EmptyDataset
-from adaptls.temporal import DateCandidate, annotate_topic, candidate_dates
+from adaptls.temporal import DateCandidate, DateMention, annotate_topic, candidate_dates
 
 
 def _topic(article_specs, timelines=()):
@@ -95,6 +97,44 @@ class TestDateFeatures:
                     assert feats[POS_LAST] == pytest.approx(
                         min(1.0, max(0.0, (topic.max_pub - cand.date).days / duration))
                     )
+
+
+# Day offsets: dense runs a day or two apart, and offsets whose gaps exceed
+# the widest window (7 days).
+_DAYS = st.one_of(st.integers(0, 10), st.integers(2, 6).map(lambda k: 9 * k))
+
+
+@st.composite
+def _layouts(draw):
+    """A topic of up to 6 articles whose sentences mention drawn dates.
+
+    Some topics publish on one day only, some mention no date at all, and
+    mentions may fall before the first or after the last publication.
+    """
+    start = date(2020, 3, 1)
+    one_day = draw(st.booleans())
+    pub_only = draw(st.booleans())
+    articles = []
+    for i in range(draw(st.integers(1, 6))):
+        aid = f"a{i}"
+        pub = start if one_day else start + timedelta(days=draw(_DAYS))
+        sentences = []
+        for j in range(draw(st.integers(0, 3))):
+            days = [] if pub_only else draw(st.lists(_DAYS | st.integers(-12, -1), max_size=4))
+            mentions = [DateMention(start + timedelta(days=d), (0, 1), "explicit") for d in days]
+            sentences.append(Sentence(aid, j, "s", ["s"], mentions))
+        articles.append(Article(aid, pub, aid, sentences))
+    return Topic("t", articles)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_layouts())
+def test_feature_windows_equal_offset_loop(topic):
+    candidates, X = feature_matrix(topic)
+    expected_candidates, expected = feature_oracle.feature_matrix(topic)
+    assert candidates == expected_candidates
+    assert X.shape == expected.shape == (len(candidates), N_FEATURES)
+    assert X.tobytes() == expected.tobytes()
 
 
 class TestRidge:

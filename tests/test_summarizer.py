@@ -220,12 +220,12 @@ class TestBuildTimeline:
         assert [d for d, _ in timeline.entries] == [date(2020, 1, 1), date(2020, 1, 2)]
         assert all(len(summary) == 1 for _, summary in timeline.entries)
 
-    def test_empty_dates_dropped(self):
+    def test_unsummarizable_date_raises(self):
         topic = _topic([(date(2020, 1, 1), ["Only day."])])
         vec = build_vectorizer(topic)
         selected = [(date(2020, 1, 1), None), (date(2021, 5, 5), None)]
-        timeline = build_timeline(topic, selected, 1, "rank", vec)
-        assert [d for d, _ in timeline.entries] == [date(2020, 1, 1)]
+        with pytest.raises(EmptyTimeline, match="2021-05-05"):
+            build_timeline(topic, selected, 1, "rank", vec)
 
     def test_all_empty_raises(self):
         topic = _topic([(date(2020, 1, 1), ["Only day."])])
