@@ -182,7 +182,8 @@ def _run_topic(topic: Topic, config: RunConfig):
     The adaptive constraint builds one timeline of the knee's length l, with
     k = 1 or the expert k of all the topic's references.  The base
     constraint builds one per reference, with that reference's length and
-    expert k.
+    expert k.  A topic with fewer summarizable dates than l gets a shorter
+    timeline, so each output's `l` is the number of entries written.
     """
     _bind(_PIPELINE)  # also in a worker of a spawn or forkserver pool
     topic = _prepare(topic, config)
@@ -207,7 +208,7 @@ def _run_topic(topic: Topic, config: RunConfig):
                 "topic": topic.name,
                 "reference": reference.name,
                 "timeline": timeline.to_json_obj(),
-                "l": l,
+                "l": timeline.length,
                 "k": k,
                 "knee": knee,
             }

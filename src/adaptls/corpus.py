@@ -13,6 +13,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from datetime import date as Date, timedelta
+from itertools import repeat
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -231,7 +232,7 @@ def _parse_date(value, where: str) -> Date:
 
 
 def _is_str_list(value) -> bool:
-    return isinstance(value, list) and all(isinstance(item, str) for item in value)
+    return isinstance(value, list) and all(map(isinstance, value, repeat(str)))
 
 
 # The escape of a UTF-16 surrogate.  Only text holding one can decode to a

@@ -53,9 +53,14 @@ _ISO_RE = re.compile(r"(?<!\d)(\d{4})-(\d{2})-(\d{2})(?!\d)")
 _MDY_RE = re.compile(_MDY, re.IGNORECASE)
 _DMY_RE = re.compile(_DMY, re.IGNORECASE)
 _CJK_RE = re.compile(r"(\d{4})年(\d{1,2})月(\d{1,2})日")
+# A month and day without a year, "3月5日"; no digit may precede the month.
+_CJK_MD_RE = re.compile(r"(?<!\d)(\d{1,2})月(\d{1,2})日")
 _REL_RE = re.compile(rf"{_REL_WORDS}|(今天|昨天|明天)", re.IGNORECASE)
 _MD_RE = re.compile(_MD, re.IGNORECASE)
 _DIGIT_RE = re.compile(r"\d")
+# A maximal digit run.  Not r"\d+": a pattern that starts with a character
+# class lets the regex engine skip ahead to the next digit.
+_DIGITS_RE = re.compile(r"\d\d*")
 
 # Case-sensitive copies for lowercased ASCII text.  On ASCII text an
 # IGNORECASE match is a case-sensitive match of the lowercased text: the
@@ -65,8 +70,11 @@ _LOWER_REL_RE = re.compile(_REL_WORDS)
 _LOWER_MDY_RE = re.compile(_MDY)
 _LOWER_DMY_RE = re.compile(_DMY)
 _LOWER_MD_RE = re.compile(_MD)
-# Every month name and abbreviation starts with one of these stems.
-_MONTH_STEM_RE = re.compile("|".join(sorted({name[:3] for name in _MONTHS})))
+# The \w class of lowercased ASCII text ("" is not in it), and the letters
+# of a month name.
+_WORD_CHARS = frozenset("abcdefghijklmnopqrstuvwxyz0123456789_")
+_LETTERS = frozenset("abcdefghijklmnopqrstuvwxyz")
+_LONGEST_MONTH = max(map(len, _MONTHS))
 
 _REL_OFFSETS = {
     "today": 0, "yesterday": -1, "tomorrow": 1,
@@ -102,88 +110,190 @@ def _resolve_partial(month: int, day: int, anchor: Date) -> Date | None:
     return resolved
 
 
-def _scan(sentence_raw: str, anchor: Date):
-    """Yield (span, resolved, kind, priority) for every raw pattern match.
+def _month_start(text: str, day_start: int) -> int:
+    """Where the month name of a "March 5" whose day starts at `day_start` must start.
 
-    An ASCII sentence is scanned lowercased, with the case-sensitive copies,
-    and the CJK forms are skipped.  A pattern is skipped when the text lacks
-    a literal that each of its matches holds: a digit for all but the
-    relative words, "-" for ISO dates and, in lowercased ASCII text, a
-    relative word or a month stem.  Month-day-year dates are searched only
-    where a month-day date matched, since each of them starts with one.  No
-    two patterns can match the same span, so the order of the scan does not
-    change the ranking of the matches.
+    Steps back over the whitespace before the day, an optional "." and at
+    most as many letters as the longest month name; the match at the
+    returned position decides whether a month name is there.
     """
-    is_ascii = sentence_raw.isascii()
-    if is_ascii:
-        text = sentence_raw.lower()
-        rel_re, mdy_re, dmy_re, md_re = _LOWER_REL_RE, _LOWER_MDY_RE, _LOWER_DMY_RE, _LOWER_MD_RE
-    else:
-        text = sentence_raw
-        rel_re, mdy_re, dmy_re, md_re = _REL_RE, _MDY_RE, _DMY_RE, _MD_RE
-    if not is_ascii or "today" in text or "yesterday" in text or "tomorrow" in text:
-        for m in rel_re.finditer(text):
-            offset = _lookup(_REL_OFFSETS, m.group())
-            yield m.span(), anchor + timedelta(days=offset), "relative", 2
+    end = day_start - 1
+    while end and text[end - 1].isspace():
+        end -= 1
+    if end and text[end - 1] == ".":
+        end -= 1
+    start = end
+    while start and end - start < _LONGEST_MONTH and text[start - 1] in _LETTERS:
+        start -= 1
+    return start
+
+
+def _ascii_matches(text: str, anchor: Date) -> list:
+    """(span, resolved, kind, priority) of every pattern match in `text`.
+
+    `text` is an ASCII sentence lowercased, scanned with the case-sensitive
+    copies; the CJK forms cannot occur in it.  The relative words are
+    searched only if the text holds one of them.  Every other form holds a
+    maximal digit run at a fixed place, so each run is tried in place
+    (`match` at one position, never a scan of the sentence):
+
+    - a 4-digit run followed by "-" is the year of an ISO date;
+    - a 1-2-digit run with no word character before it and whitespace after
+      it is the day of a "5 March 2021";
+    - a 1-2-digit run with whitespace before it and no word character after
+      it is the day of a "March 5" or "March 5, 2021", whose month name is
+      the word before that whitespace and an optional ".".
+
+    No match of a pattern starts inside another match of it, so these are
+    exactly the matches a scan of the whole text with `finditer` finds.
+    """
+    matches = []
+    if "today" in text or "yesterday" in text or "tomorrow" in text:
+        for m in _LOWER_REL_RE.finditer(text):
+            day = anchor + timedelta(days=_REL_OFFSETS[m.group()])
+            matches.append((m.span(), day, "relative", 2))
+    first = _DIGIT_RE.search(text)
+    if first is None:
+        return matches
+    for run in _DIGITS_RE.finditer(text, first.start()):
+        start, end = run.span()
+        after = text[end : end + 1]
+        if end - start == 4:
+            m = _ISO_RE.match(text, start) if after == "-" else None
+            if m:
+                year, month, day = m.groups()
+                resolved = _safe_date(int(year), int(month), int(day))
+                if resolved:
+                    matches.append((m.span(), resolved, "explicit", 0))
+            continue
+        if end - start > 2:
+            continue
+        before = text[start - 1 : start]
+        if before not in _WORD_CHARS and after.isspace():
+            m = _LOWER_DMY_RE.match(text, start)
+            if m:
+                day, month, year = m.groups()
+                resolved = _safe_date(int(year), _MONTHS[month], int(day))
+                if resolved:
+                    matches.append((m.span(), resolved, "explicit", 1))
+        if not before.isspace() or after in _WORD_CHARS:
+            continue
+        month_start = _month_start(text, start)
+        m = _LOWER_MD_RE.match(text, month_start)
+        if m is None:
+            continue
+        month = _MONTHS[m.group(1)]
+        resolved = _resolve_partial(month, int(m.group(2)), anchor)
+        if resolved:
+            matches.append((m.span(), resolved, "partial", 3))
+        m = _LOWER_MDY_RE.match(text, month_start)
+        if m:
+            resolved = _safe_date(int(m.group(3)), month, int(m.group(2)))
+            if resolved:
+                matches.append((m.span(), resolved, "explicit", 1))
+    return matches
+
+
+def _unicode_matches(text: str, anchor: Date) -> list:
+    """(span, resolved, kind, priority) of every pattern match in `text`.
+
+    A sentence that is not ASCII is scanned as it is, with the IGNORECASE
+    patterns and the CJK forms.  A pattern is skipped when the text lacks a
+    literal that each of its matches holds: a digit for all but the relative
+    words, "-" for ISO dates and "月" for the CJK forms.  Month-day-year
+    dates are searched only where a month-day date matched, since each of
+    them starts with one.
+    """
+    matches = []
+    for m in _REL_RE.finditer(text):
+        offset = _lookup(_REL_OFFSETS, m.group())
+        matches.append((m.span(), anchor + timedelta(days=offset), "relative", 2))
     if not _DIGIT_RE.search(text):
-        return
+        return matches
     if "-" in text:
         for m in _ISO_RE.finditer(text):
             resolved = _safe_date(int(m.group(1)), int(m.group(2)), int(m.group(3)))
             if resolved:
-                yield m.span(), resolved, "explicit", 0
-    if not is_ascii:
+                matches.append((m.span(), resolved, "explicit", 0))
+    if "月" in text:
         for m in _CJK_RE.finditer(text):
             resolved = _safe_date(int(m.group(1)), int(m.group(2)), int(m.group(3)))
             if resolved:
-                yield m.span(), resolved, "explicit", 1
-    elif not _MONTH_STEM_RE.search(text):
-        return
-    month_days = list(md_re.finditer(text))
+                matches.append((m.span(), resolved, "explicit", 1))
+        for m in _CJK_MD_RE.finditer(text):
+            resolved = _resolve_partial(int(m.group(1)), int(m.group(2)), anchor)
+            if resolved:
+                matches.append((m.span(), resolved, "partial", 3))
+    month_days = list(_MD_RE.finditer(text))
     if month_days:
-        for m in mdy_re.finditer(text):
+        for m in _MDY_RE.finditer(text):
             month = _lookup(_MONTHS, m.group(1))
             resolved = _safe_date(int(m.group(3)), month, int(m.group(2)))
             if resolved:
-                yield m.span(), resolved, "explicit", 1
-    for m in dmy_re.finditer(text):
+                matches.append((m.span(), resolved, "explicit", 1))
+    for m in _DMY_RE.finditer(text):
         month = _lookup(_MONTHS, m.group(2))
         resolved = _safe_date(int(m.group(3)), month, int(m.group(1)))
         if resolved:
-            yield m.span(), resolved, "explicit", 1
+            matches.append((m.span(), resolved, "explicit", 1))
     for m in month_days:
         month = _lookup(_MONTHS, m.group(1))
         resolved = _resolve_partial(month, int(m.group(2)), anchor)
         if resolved:
-            yield m.span(), resolved, "partial", 3
+            matches.append((m.span(), resolved, "partial", 3))
+    return matches
+
+
+def _rank(match) -> tuple:
+    """Longest first, then by priority, then leftmost."""
+    (start, end), _, _, priority = match
+    return start - end, priority, start
+
+
+def _mentions(matches: list) -> list[DateMention]:
+    """The mentions of a sentence's matches, longest match first on overlaps.
+
+    So "March 20, 2021" wins over the partial "March 20" inside it.  No two
+    patterns can match the same span, so the order of the matches does not
+    change the ranking, and a single match needs none.
+    """
+    if len(matches) == 1:
+        span, resolved, kind, _ = matches[0]
+        return [DateMention(resolved, span, kind)]
+    matches.sort(key=_rank)
+    taken = []
+    for match in matches:
+        start, end = match[0]
+        for other in taken:
+            if start < other[0][1] and other[0][0] < end:
+                break
+        else:
+            taken.append(match)
+    taken.sort()
+    return [DateMention(resolved, span, kind) for span, resolved, kind, _ in taken]
 
 
 def extract_date_mentions(sentence_raw: str, anchor: Date) -> list[DateMention]:
-    """Extract date mentions from one sentence, resolved against `anchor`.
-
-    Overlapping matches are resolved longest-match-first, so "March 20, 2021"
-    wins over the partial "March 20" inside it.  A single match needs no
-    ranking.
-    """
-    matches = list(_scan(sentence_raw, anchor))
-    if len(matches) > 1:
-        matches.sort(key=lambda item: (-(item[0][1] - item[0][0]), item[3], item[0][0]))
-        taken = []
-        for match in matches:
-            span = match[0]
-            if not any(span[0] < t_end and t_start < span[1] for (t_start, t_end), *_ in taken):
-                taken.append(match)
-        matches = sorted(taken, key=lambda item: item[0])
-    return [DateMention(resolved, span, kind) for span, resolved, kind, _ in matches]
+    """Extract date mentions from one sentence, resolved against `anchor`."""
+    if sentence_raw.isascii():
+        return _mentions(_ascii_matches(sentence_raw.lower(), anchor))
+    return _mentions(_unicode_matches(sentence_raw, anchor))
 
 
 def annotate_topic(topic: Topic) -> Topic:
-    """Fill sentence.mentions for every sentence of the topic, in place."""
+    """Fill sentence.mentions for every sentence of the topic, in place.
+
+    The same as `extract_date_mentions` on each sentence.
+    """
     for article in topic.articles:
+        anchor = article.publish_date
         for sentence in article.sentences:
-            sentence.mentions = extract_date_mentions(
-                sentence.raw, article.publish_date
-            )
+            raw = sentence.raw
+            if raw.isascii():
+                matches = _ascii_matches(raw.lower(), anchor)
+            else:
+                matches = _unicode_matches(raw, anchor)
+            sentence.mentions = _mentions(matches) if matches else []
     return topic
 
 

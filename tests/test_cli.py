@@ -2,6 +2,8 @@ import csv
 import json
 import random
 import shutil
+import tempfile
+from datetime import date, timedelta
 from pathlib import Path
 
 import pytest
@@ -404,6 +406,61 @@ class TestUnsummarizableDates:
         with out.open() as handle:
             rows = list(csv.DictReader(handle))
         assert [int(r["c"]) for r in rows] == list(range(1, items + 1))
+
+
+def _planted_with_empty_articles(planted_dir: Path, root: Path, blank, empty_days, extra) -> Path:
+    """The planted topics, each with the text of its articles at indexes
+    `blank` removed, 8 text-less articles on each of `empty_days` (offsets
+    from its first publish date), and `extra` reference entries on dates no
+    article has; regressors score a date ln(1 + articles published on it)."""
+    for topic_dir in sorted(planted_dir.iterdir()):
+        lines = (topic_dir / "articles.jsonl").read_text(encoding="utf-8").splitlines()
+        articles = [json.loads(line) for line in lines]
+        for index in blank:
+            articles[index % len(articles)].update(text="", pretokenized=[])
+        start = date.fromisoformat(min(a["publish_date"] for a in articles))
+        for offset in empty_days:
+            day = (start + timedelta(days=offset)).isoformat()
+            for i in range(8):
+                articles.append({"id": f"empty-{offset}-{i}", "publish_date": day, "title": "Empty", "text": ""})
+        [reference] = [json.loads(line) for line in (topic_dir / "timelines.jsonl").read_text().splitlines()]
+        last = date.fromisoformat(max(e["date"] for e in reference["entries"]))
+        reference["entries"] += [
+            {"date": (last + timedelta(days=400 + i)).isoformat(), "summary": ["Later."]} for i in range(extra)
+        ]
+        out = root / "dataset" / topic_dir.name
+        out.mkdir(parents=True)
+        (out / "articles.jsonl").write_text("".join(json.dumps(a) + "\n" for a in articles), encoding="utf-8")
+        (out / "timelines.jsonl").write_text(json.dumps(reference) + "\n", encoding="utf-8")
+        regressor = {"weights": [0, 1, 0, 0, 0, 0, 0, 0, 0], "bias": 0, "lambda": 1}
+        (root / "reg").mkdir(exist_ok=True)
+        (root / "reg" / f"regressor_{topic_dir.name}.json").write_text(json.dumps(regressor))
+    return root
+
+
+@settings(max_examples=4, deadline=None)
+@given(
+    # article 0 of each topic keeps its text, so every topic has a summarizable date
+    blank=st.lists(st.integers(1, 27), max_size=27, unique=True),
+    empty_days=st.lists(st.integers(-3, 62), max_size=3, unique=True),
+    extra=st.integers(0, 12),
+)
+def test_manifest_l_is_entries_written_on_planted_topics(planted_dir, blank, empty_days, extra):
+    """Under every method and constraint `run` accepts, each output's `l` is
+    the number of entries written, also where text-less articles leave fewer
+    summarizable dates than the knee or the reference length asks for."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = _planted_with_empty_articles(planted_dir, Path(tmp), blank, empty_days, extra)
+        for method, constraint in RUN_MODES:
+            out = root / f"out-{method}-{constraint}"
+            argv = ["run", "--dataset-dir", str(root / "dataset"), "--output-dir", str(out)]
+            argv += ["--method", method, "--constraint", constraint, "--regressors", str(root / "reg")]
+            assert main(argv) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert len(manifest["outputs"]) == 3
+            for entry in manifest["outputs"]:
+                entries = json.loads((out / entry["file"]).read_text())["entries"]
+                assert len(entries) == entry["l"] >= 1
 
 
 class TestConfigFile:

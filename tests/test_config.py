@@ -30,6 +30,11 @@ def test_config_imports_no_numpy(fresh_python):
     assert fresh_python("-c", code).strip() == "False"
 
 
+def test_temporal_imports_no_numpy(fresh_python):
+    code = "import sys, adaptls.temporal; print('numpy' in sys.modules)"
+    assert fresh_python("-c", code).strip() == "False"
+
+
 @pytest.fixture(scope="module")
 def predictions(tmp_path_factory):
     out = tmp_path_factory.mktemp("pred")

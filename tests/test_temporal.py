@@ -41,6 +41,26 @@ class TestExtractDateMentions:
         mentions = extract_date_mentions("地震发生于2011年3月11日。", date(2011, 3, 12))
         assert [m.resolved for m in mentions] == [date(2011, 3, 11)]
 
+    def test_cjk_month_day_is_partial(self):
+        # "3月5日" has no year: it resolves as "March 5" does.
+        mentions = extract_date_mentions("会议于3月5日举行。", date(2021, 3, 1))
+        assert [(m.resolved, m.span, m.kind) for m in mentions] == [(date(2021, 3, 5), (3, 7), "partial")]
+        mentions = extract_date_mentions("12月25日，广场上挤满了人。", date(2020, 1, 10))
+        assert [(m.resolved, m.kind) for m in mentions] == [(date(2019, 12, 25), "partial")]
+
+    def test_cjk_full_date_wins_over_its_month_day(self):
+        mentions = extract_date_mentions("地震发生于2011年3月11日，3月12日余震。", date(2011, 3, 20))
+        assert [(m.resolved, m.span, m.kind) for m in mentions] == [
+            (date(2011, 3, 11), (5, 15), "explicit"),
+            (date(2011, 3, 12), (16, 21), "partial"),
+        ]
+
+    def test_cjk_month_day_needs_a_month_and_day(self):
+        anchor = date(2021, 6, 1)
+        # a digit before the month, a month past 12, a day past the month's end
+        for raw in ("第123月5日", "13月5日", "2月30日", "3月123日"):
+            assert extract_date_mentions(raw, anchor) == [], raw
+
     def test_cjk_relative(self):
         mentions = extract_date_mentions("他昨天离开了。", date(2020, 5, 2))
         assert [m.resolved for m in mentions] == [date(2020, 5, 1)]
@@ -85,6 +105,13 @@ class TestExtractDateMentions:
         assert [m.resolved for m in extract_date_mentions("Ye\u017fterday it rained.", anchor)] == [
             date(2021, 9, 9)
         ]
+
+    def test_annotate_topic_matches_per_sentence_extraction(self):
+        raws = ["Due March 20, 2021, they say.", "Nothing here.", "会议于3月5日举行，昨天。", "On 5 may 2020 or may 5."]
+        topic = _make_topic([(date(2020, 6, 1), raws)])
+        for sentence in topic.articles[0].sentences:
+            assert sentence.mentions == extract_date_mentions(sentence.raw, date(2020, 6, 1))
+        assert [len(s.mentions) for s in topic.articles[0].sentences] == [1, 0, 2, 2]
 
     def test_deterministic(self):
         raw = "On 2020-02-02 and again yesterday, twice on 2020-02-02."

@@ -4,6 +4,7 @@ character loops and the ungated scan of `text_oracle`."""
 import re
 from datetime import date, timedelta
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from adaptls import temporal
@@ -34,7 +35,7 @@ WORDS = [
     "U.S.", "e.g.", "Mr.", "a.m.", "No.", "St. Louis",
     "today", "Yesterday", "TOMORROW", "ye\u017fterday", "今天", "昨天", "明天",
     "March", "sept", "Dec.", "may", "June", "5", "20", "31", "2021",
-    "2021-03-05", "1999-12-31", "2020-02-30", "2011年3月11日",
+    "2021-03-05", "1999-12-31", "2020-02-30", "2011年3月11日", "3月5日", "12月31日", "13月5日",
     "March 5, 2021", "5 March 2021", "Feb. 29", "dec 25",
     # dates in non-ASCII decimal digits, which \d matches too
     "March ٣", "٢٠٢١-٠٣-٠٥", "٥ May ٢٠٢٠", "２０２１年３月５日",
@@ -61,12 +62,24 @@ def _mixed_case(word: str):
     return flips.map(lambda up: "".join(c.upper() if u else c for c, u in zip(word, up)))
 
 
-ASCII_TEXT = st.lists(
-    st.sampled_from(ASCII_WORDS).flatmap(
-        lambda word: st.one_of(st.just(word), _mixed_case(word))
-    ),
-    max_size=25,
-).map(" ".join)
+# Every ASCII whitespace character (\s), in runs as long as a sentence may hold.
+ASCII_SPACE = st.text(alphabet=" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f", min_size=1, max_size=12)
+
+ASCII_TOKEN = st.one_of(
+    st.sampled_from(ASCII_WORDS),
+    # every month name and abbreviation, the longest included
+    st.sampled_from(sorted(temporal._MONTHS)),
+    # digit runs of every width around the 1-2-digit days and 4-digit years
+    st.text(alphabet="0123456789", min_size=1, max_size=5),
+).flatmap(lambda word: st.one_of(st.just(word), _mixed_case(word)))
+
+# What follows a token: a whitespace run, or a character that glues it to
+# the next token, so that digit runs meet "-", "_", "." and letters.
+ASCII_GLUE = st.one_of(ASCII_SPACE, st.sampled_from(["", "-", "_", ".", ",", ". ", " , "]))
+
+ASCII_TEXT = st.lists(st.tuples(ASCII_TOKEN, ASCII_GLUE), max_size=25).map(
+    lambda parts: "".join(token + glue for token, glue in parts)
+)
 
 
 @settings(max_examples=400)
@@ -111,8 +124,19 @@ def test_prefilters_pass_every_word():
     for word in filter(str.isascii, temporal._REL_OFFSETS):
         [mention] = extract_date_mentions(f"It was {word.upper()}.", date(2021, 1, 1))
         assert mention.kind == "relative"
+    # Each month name is found from the digit run of its day, whatever its
+    # length and case and however much whitespace lies between them.
+    anchor = date(2021, 9, 10)
     for word in temporal._MONTHS:
-        assert temporal._MONTH_STEM_RE.search(word)
+        for name in (word, word.upper(), word.title()):
+            for text, kind in [
+                (f"x\t{name} \t\n  12, 2021", "explicit"),
+                (f"({name}.      5)", "partial"),
+                (f"On 5\t{name}\x1f2021.", "explicit"),
+            ]:
+                mentions = extract_date_mentions(text, anchor)
+                assert [m.kind for m in mentions] == [kind], text
+                assert mentions == text_oracle.extract_date_mentions(text, anchor)
 
 
 def test_month_day_year_with_spaced_comma():
@@ -122,6 +146,32 @@ def test_month_day_year_with_spaced_comma():
     mentions = extract_date_mentions(text, anchor)
     assert mentions == text_oracle.extract_date_mentions(text, anchor)
     assert [(m.resolved, m.span, m.kind) for m in mentions] == [(date(2021, 3, 5), (0, 14), "explicit")]
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        # an ISO date at the start of the sentence
+        ("2021-03-05, may 5", [((0, 10), date(2021, 3, 5), "explicit"), ((12, 17), date(2021, 5, 5), "partial")]),
+        # the day-month-year date is longer than the ISO date it overlaps
+        ("2021-03-05 march 2021", [((8, 21), date(2021, 3, 5), "explicit")]),
+        # the month-day-year date is longer than the ISO date it overlaps
+        ("May 5, 2021-06-07", [((0, 11), date(2021, 5, 5), "explicit")]),
+        # the day-month-year date is longer than the month-day date it overlaps
+        ("may 5 june 2021", [((4, 15), date(2021, 6, 5), "explicit")]),
+        # the month name is 9 letters back from a whitespace run of 6
+        ("September      5", [((0, 16), date(2021, 9, 5), "partial")]),
+        ("x\tSEPTEMBER \t\n  12, 2021", [((2, 24), date(2021, 9, 12), "explicit")]),
+        # a digit run glued to a word, "_", "." or another digit run is no day
+        ("May5 may_5 may 5x may 123 5may 2021 may 5_", []),
+        ("may 05.2021", [((0, 6), date(2021, 5, 5), "partial")]),
+    ],
+)
+def test_overlapping_and_anchored_dates(text, expected):
+    anchor = date(2021, 9, 10)
+    mentions = extract_date_mentions(text, anchor)
+    assert mentions == text_oracle.extract_date_mentions(text, anchor)
+    assert [(m.span, m.resolved, m.kind) for m in mentions] == expected
 
 
 def test_non_ascii_sentences_keep_the_ignorecase_scan():

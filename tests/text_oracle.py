@@ -14,6 +14,7 @@ from datetime import timedelta
 from adaptls.corpus import _ASCII_LOWER
 from adaptls.temporal import (
     DateMention,
+    _CJK_MD_RE,
     _CJK_RE,
     _DMY_RE,
     _ISO_RE,
@@ -97,6 +98,10 @@ def _scan(sentence_raw, anchor):
         resolved = _safe_date(int(m.group(1)), int(m.group(2)), int(m.group(3)))
         if resolved:
             yield m.span(), resolved, "explicit", 1
+    for m in _CJK_MD_RE.finditer(sentence_raw):
+        resolved = _resolve_partial(int(m.group(1)), int(m.group(2)), anchor)
+        if resolved:
+            yield m.span(), resolved, "partial", 3
     for m in _REL_RE.finditer(sentence_raw):
         offset = _lookup(_REL_OFFSETS, m.group())
         yield m.span(), anchor + timedelta(days=offset), "relative", 2
