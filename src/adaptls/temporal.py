@@ -10,6 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from datetime import date as Date, timedelta
+from typing import NamedTuple
 
 from .corpus import LOOKBACK_DAYS, Article, Topic
 from .errors import EmptyCorpus
@@ -19,8 +20,7 @@ from .errors import EmptyCorpus
 PARTIAL_FORWARD_DAYS = 183
 
 
-@dataclass(frozen=True)
-class DateMention:
+class DateMention(NamedTuple):
     resolved: Date
     span: tuple[int, int]  # character offsets into the sentence raw text
     kind: str  # "explicit" | "relative" | "partial"
@@ -44,36 +44,20 @@ _MONTHS = {
 
 _MONTH_ALT = "|".join(sorted(_MONTHS, key=len, reverse=True))
 
-_MDY = rf"\b({_MONTH_ALT})\.?\s+(\d{{1,2}})\s*,\s*(\d{{4}})\b"
-_DMY = rf"\b(\d{{1,2}})\s+({_MONTH_ALT})\.?\s+(\d{{4}})\b"
-_MD = rf"\b({_MONTH_ALT})\.?\s+(\d{{1,2}})\b"
-_REL_WORDS = r"\b(today|yesterday|tomorrow)\b"
-
 _ISO_RE = re.compile(r"(?<!\d)(\d{4})-(\d{2})-(\d{2})(?!\d)")
-_MDY_RE = re.compile(_MDY, re.IGNORECASE)
-_DMY_RE = re.compile(_DMY, re.IGNORECASE)
+_MDY_RE = re.compile(
+    rf"\b({_MONTH_ALT})\.?\s+(\d{{1,2}})\s*,\s*(\d{{4}})\b", re.IGNORECASE
+)
+_DMY_RE = re.compile(rf"\b(\d{{1,2}})\s+({_MONTH_ALT})\.?\s+(\d{{4}})\b", re.IGNORECASE)
 _CJK_RE = re.compile(r"(\d{4})年(\d{1,2})月(\d{1,2})日")
 # A month and day without a year, "3月5日"; no digit may precede the month.
 _CJK_MD_RE = re.compile(r"(?<!\d)(\d{1,2})月(\d{1,2})日")
-_REL_RE = re.compile(rf"{_REL_WORDS}|(今天|昨天|明天)", re.IGNORECASE)
-_MD_RE = re.compile(_MD, re.IGNORECASE)
+_REL_RE = re.compile(r"\b(today|yesterday|tomorrow)\b|(今天|昨天|明天)", re.IGNORECASE)
+_MD_RE = re.compile(rf"\b({_MONTH_ALT})\.?\s+(\d{{1,2}})\b", re.IGNORECASE)
 _DIGIT_RE = re.compile(r"\d")
 # A maximal digit run.  Not r"\d+": a pattern that starts with a character
 # class lets the regex engine skip ahead to the next digit.
 _DIGITS_RE = re.compile(r"\d\d*")
-
-# Case-sensitive copies for lowercased ASCII text.  On ASCII text an
-# IGNORECASE match is a case-sensitive match of the lowercased text: the
-# patterns' letters are all lowercase, lowercasing keeps every offset, and
-# \b, \d, \s and \w class each ASCII character as they class its lowercase.
-_LOWER_REL_RE = re.compile(_REL_WORDS)
-_LOWER_MDY_RE = re.compile(_MDY)
-_LOWER_DMY_RE = re.compile(_DMY)
-_LOWER_MD_RE = re.compile(_MD)
-# The \w class of lowercased ASCII text ("" is not in it), and the letters
-# of a month name.
-_WORD_CHARS = frozenset("abcdefghijklmnopqrstuvwxyz0123456789_")
-_LETTERS = frozenset("abcdefghijklmnopqrstuvwxyz")
 _LONGEST_MONTH = max(map(len, _MONTHS))
 
 _REL_OFFSETS = {
@@ -114,8 +98,10 @@ def _month_start(text: str, day_start: int) -> int:
     """Where the month name of a "March 5" whose day starts at `day_start` must start.
 
     Steps back over the whitespace before the day, an optional "." and at
-    most as many letters as the longest month name; the match at the
-    returned position decides whether a month name is there.
+    most as many letters (`str.isalpha`) as the longest month name; the
+    match at the returned position decides whether a month name is there.
+    Every character that IGNORECASE matches to a letter of a month name is
+    a letter, so the step-back cannot stop inside one.
     """
     end = day_start - 1
     while end and text[end - 1].isspace():
@@ -123,124 +109,88 @@ def _month_start(text: str, day_start: int) -> int:
     if end and text[end - 1] == ".":
         end -= 1
     start = end
-    while start and end - start < _LONGEST_MONTH and text[start - 1] in _LETTERS:
+    while start and end - start < _LONGEST_MONTH and text[start - 1].isalpha():
         start -= 1
     return start
 
 
-def _ascii_matches(text: str, anchor: Date) -> list:
-    """(span, resolved, kind, priority) of every pattern match in `text`.
+def _matches(raw: str, anchor: Date) -> list:
+    """(span, resolved, kind, priority) of every pattern match in `raw`.
 
-    `text` is an ASCII sentence lowercased, scanned with the case-sensitive
-    copies; the CJK forms cannot occur in it.  The relative words are
-    searched only if the text holds one of them.  Every other form holds a
-    maximal digit run at a fixed place, so each run is tried in place
-    (`match` at one position, never a scan of the sentence):
+    The relative words are searched only if the sentence holds one of them:
+    "ſ" is the one character that IGNORECASE matches to one of their letters
+    and that does not lower to it, and it can stand only for the "s" of
+    "yesterday", outside "terday".  Every other form holds a maximal digit
+    run at a fixed place, so each run is tried in place (`match` at one
+    position, never a scan of the sentence):
 
     - a 4-digit run followed by "-" is the year of an ISO date;
-    - a 1-2-digit run with no word character before it and whitespace after
-      it is the day of a "5 March 2021";
+    - the last 4 digits of a run followed by "年" are the year of a
+      `2011年3月11日`, the one form whose match may start inside a run;
+    - a 1-2-digit run followed by "月" is the month of a `3月5日`;
+    - a 1-2-digit run with no word character (`isalnum` or "_") before it
+      and whitespace after it is the day of a "5 March 2021";
     - a 1-2-digit run with whitespace before it and no word character after
       it is the day of a "March 5" or "March 5, 2021", whose month name is
       the word before that whitespace and an optional ".".
 
     No match of a pattern starts inside another match of it, so these are
-    exactly the matches a scan of the whole text with `finditer` finds.
+    exactly the matches a scan of the whole sentence with `finditer` finds.
     """
     matches = []
-    if "today" in text or "yesterday" in text or "tomorrow" in text:
-        for m in _LOWER_REL_RE.finditer(text):
-            day = anchor + timedelta(days=_REL_OFFSETS[m.group()])
-            matches.append((m.span(), day, "relative", 2))
-    first = _DIGIT_RE.search(text)
+    low = raw.lower()
+    if "today" in low or "terday" in low or "tomorrow" in low or "天" in raw:
+        for m in _REL_RE.finditer(raw):
+            offset = _lookup(_REL_OFFSETS, m.group())
+            matches.append((m.span(), anchor + timedelta(days=offset), "relative", 2))
+    first = _DIGIT_RE.search(raw)
     if first is None:
         return matches
-    for run in _DIGITS_RE.finditer(text, first.start()):
+    for run in _DIGITS_RE.finditer(raw, first.start()):
         start, end = run.span()
-        after = text[end : end + 1]
-        if end - start == 4:
-            m = _ISO_RE.match(text, start) if after == "-" else None
-            if m:
-                year, month, day = m.groups()
-                resolved = _safe_date(int(year), int(month), int(day))
-                if resolved:
-                    matches.append((m.span(), resolved, "explicit", 0))
-            continue
+        after = raw[end : end + 1]
         if end - start > 2:
-            continue
-        before = text[start - 1 : start]
-        if before not in _WORD_CHARS and after.isspace():
-            m = _LOWER_DMY_RE.match(text, start)
+            if after == "-" and end - start == 4:
+                m, priority = _ISO_RE.match(raw, start), 0
+            elif after == "年" and end - start >= 4:
+                m, priority = _CJK_RE.match(raw, end - 4), 1
+            else:
+                continue
             if m:
-                day, month, year = m.groups()
-                resolved = _safe_date(int(year), _MONTHS[month], int(day))
+                resolved = _safe_date(int(m.group(1)), int(m.group(2)), int(m.group(3)))
+                if resolved:
+                    matches.append((m.span(), resolved, "explicit", priority))
+            continue
+        if after == "月":
+            m = _CJK_MD_RE.match(raw, start)
+            if m:
+                resolved = _resolve_partial(int(m.group(1)), int(m.group(2)), anchor)
+                if resolved:
+                    matches.append((m.span(), resolved, "partial", 3))
+            continue
+        before = raw[start - 1 : start]
+        if not (before.isalnum() or before == "_") and after.isspace():
+            m = _DMY_RE.match(raw, start)
+            if m:
+                month = _lookup(_MONTHS, m.group(2))
+                resolved = _safe_date(int(m.group(3)), month, int(m.group(1)))
                 if resolved:
                     matches.append((m.span(), resolved, "explicit", 1))
-        if not before.isspace() or after in _WORD_CHARS:
+        if not before.isspace() or after.isalnum() or after == "_":
             continue
-        month_start = _month_start(text, start)
-        m = _LOWER_MD_RE.match(text, month_start)
+        month_start = _month_start(raw, start)
+        m = _MD_RE.match(raw, month_start)
         if m is None:
             continue
-        month = _MONTHS[m.group(1)]
-        resolved = _resolve_partial(month, int(m.group(2)), anchor)
-        if resolved:
-            matches.append((m.span(), resolved, "partial", 3))
-        m = _LOWER_MDY_RE.match(text, month_start)
-        if m:
-            resolved = _safe_date(int(m.group(3)), month, int(m.group(2)))
-            if resolved:
-                matches.append((m.span(), resolved, "explicit", 1))
-    return matches
-
-
-def _unicode_matches(text: str, anchor: Date) -> list:
-    """(span, resolved, kind, priority) of every pattern match in `text`.
-
-    A sentence that is not ASCII is scanned as it is, with the IGNORECASE
-    patterns and the CJK forms.  A pattern is skipped when the text lacks a
-    literal that each of its matches holds: a digit for all but the relative
-    words, "-" for ISO dates and "月" for the CJK forms.  Month-day-year
-    dates are searched only where a month-day date matched, since each of
-    them starts with one.
-    """
-    matches = []
-    for m in _REL_RE.finditer(text):
-        offset = _lookup(_REL_OFFSETS, m.group())
-        matches.append((m.span(), anchor + timedelta(days=offset), "relative", 2))
-    if not _DIGIT_RE.search(text):
-        return matches
-    if "-" in text:
-        for m in _ISO_RE.finditer(text):
-            resolved = _safe_date(int(m.group(1)), int(m.group(2)), int(m.group(3)))
-            if resolved:
-                matches.append((m.span(), resolved, "explicit", 0))
-    if "月" in text:
-        for m in _CJK_RE.finditer(text):
-            resolved = _safe_date(int(m.group(1)), int(m.group(2)), int(m.group(3)))
-            if resolved:
-                matches.append((m.span(), resolved, "explicit", 1))
-        for m in _CJK_MD_RE.finditer(text):
-            resolved = _resolve_partial(int(m.group(1)), int(m.group(2)), anchor)
-            if resolved:
-                matches.append((m.span(), resolved, "partial", 3))
-    month_days = list(_MD_RE.finditer(text))
-    if month_days:
-        for m in _MDY_RE.finditer(text):
-            month = _lookup(_MONTHS, m.group(1))
-            resolved = _safe_date(int(m.group(3)), month, int(m.group(2)))
-            if resolved:
-                matches.append((m.span(), resolved, "explicit", 1))
-    for m in _DMY_RE.finditer(text):
-        month = _lookup(_MONTHS, m.group(2))
-        resolved = _safe_date(int(m.group(3)), month, int(m.group(1)))
-        if resolved:
-            matches.append((m.span(), resolved, "explicit", 1))
-    for m in month_days:
         month = _lookup(_MONTHS, m.group(1))
         resolved = _resolve_partial(month, int(m.group(2)), anchor)
         if resolved:
             matches.append((m.span(), resolved, "partial", 3))
+        m = _MDY_RE.match(raw, month_start)
+        if m:
+            resolved = _safe_date(int(m.group(3)), month, int(m.group(2)))
+            if resolved:
+                matches.append((m.span(), resolved, "explicit", 1))
     return matches
 
 
@@ -275,25 +225,16 @@ def _mentions(matches: list) -> list[DateMention]:
 
 def extract_date_mentions(sentence_raw: str, anchor: Date) -> list[DateMention]:
     """Extract date mentions from one sentence, resolved against `anchor`."""
-    if sentence_raw.isascii():
-        return _mentions(_ascii_matches(sentence_raw.lower(), anchor))
-    return _mentions(_unicode_matches(sentence_raw, anchor))
+    matches = _matches(sentence_raw, anchor)
+    return _mentions(matches) if matches else []
 
 
 def annotate_topic(topic: Topic) -> Topic:
-    """Fill sentence.mentions for every sentence of the topic, in place.
-
-    The same as `extract_date_mentions` on each sentence.
-    """
+    """Fill sentence.mentions for every sentence of the topic, in place."""
     for article in topic.articles:
         anchor = article.publish_date
         for sentence in article.sentences:
-            raw = sentence.raw
-            if raw.isascii():
-                matches = _ascii_matches(raw.lower(), anchor)
-            else:
-                matches = _unicode_matches(raw, anchor)
-            sentence.mentions = _mentions(matches) if matches else []
+            sentence.mentions = extract_date_mentions(sentence.raw, anchor)
     return topic
 
 

@@ -1,3 +1,4 @@
+import pickle
 from datetime import date, timedelta
 
 import pytest
@@ -6,6 +7,7 @@ from adaptls.corpus import Article, Sentence, Topic, tokenize
 from adaptls.errors import EmptyCorpus
 from adaptls.temporal import (
     LOOKBACK_DAYS,
+    DateMention,
     annotate_topic,
     candidate_dates,
     extract_date_mentions,
@@ -117,6 +119,17 @@ class TestExtractDateMentions:
         raw = "On 2020-02-02 and again yesterday, twice on 2020-02-02."
         anchor = date(2020, 2, 3)
         assert extract_date_mentions(raw, anchor) == extract_date_mentions(raw, anchor)
+
+    def test_mention_fields_repr_immutability_and_pickling(self):
+        [mention] = extract_date_mentions("On 2020-02-02.", date(2020, 2, 3))
+        assert mention == DateMention(date(2020, 2, 2), (3, 13), "explicit")
+        assert mention != DateMention(date(2020, 2, 2), (3, 13), "partial")
+        assert repr(mention) == (
+            "DateMention(resolved=datetime.date(2020, 2, 2), span=(3, 13), kind='explicit')"
+        )
+        with pytest.raises(AttributeError):
+            mention.kind = "partial"
+        assert pickle.loads(pickle.dumps(mention)) == mention
 
 
 def _make_topic(article_specs):

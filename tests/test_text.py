@@ -1,14 +1,15 @@
-"""The regex splitter and tokenizer and the gated date scan agree with the
+"""The regex splitter and tokenizer and the anchored date scan agree with the
 character loops and the ungated scan of `text_oracle`."""
 
 import re
+import string
 from datetime import date, timedelta
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from adaptls import temporal
-from adaptls.corpus import sentence_split, tokenize
+from adaptls.corpus import _ASCII_LOWER, sentence_split, tokenize
 from adaptls.temporal import extract_date_mentions
 import text_oracle
 
@@ -46,7 +47,8 @@ TEXT = st.lists(st.one_of(st.sampled_from(CHARS), st.sampled_from(WORDS)), max_s
 )
 ANCHORS = st.dates(min_value=date(1990, 1, 1), max_value=date(2030, 12, 31))
 
-# ASCII-only text, which the scan lowercases and matches case-sensitively.
+# ASCII-only text: month names and relative words in any case, digit runs of
+# every width and the ASCII characters that sit around a date.
 ASCII_WORDS = [
     "March", "SEPT.", "Sept", "sep.", "mAy", "Dec", "dec.", "JUNE", "jun.", "Feb.", "NoV",
     "ToDaY", "YESTERDAY", "Tomorrow", "today's", "tomorrowland", "to", "day",
@@ -81,6 +83,27 @@ ASCII_TEXT = st.lists(st.tuples(ASCII_TOKEN, ASCII_GLUE), max_size=25).map(
     lambda parts: "".join(token + glue for token, glue in parts)
 )
 
+# The same tokens glued by non-ASCII characters too: case folds that reach an
+# ASCII letter, non-ASCII whitespace, the CJK date characters, non-ASCII
+# digits and a CJK date whose year ends a longer digit run.
+MIXED_GLUE = st.lists(
+    st.one_of(
+        ASCII_GLUE,
+        st.sampled_from(
+            [
+                "\u017f", "\u0130", "\u0131", "\u212a", "é", "\u00a0", "\u3000",
+                "年", "月", "日", "٣", "９", "天", "今天", "12021年3月5日",
+            ]
+        ),
+    ),
+    min_size=1,
+    max_size=2,
+).map("".join)
+
+MIXED_TEXT = st.lists(st.tuples(ASCII_TOKEN, MIXED_GLUE), max_size=25).map(
+    lambda parts: "".join(token + glue for token, glue in parts)
+)
+
 
 @settings(max_examples=400)
 @given(TEXT)
@@ -107,17 +130,48 @@ def test_ascii_date_mentions_match_ungated_scan(text, anchor):
     assert extract_date_mentions(text, anchor) == text_oracle.extract_date_mentions(text, anchor)
 
 
+@settings(max_examples=600)
+@given(MIXED_TEXT, ANCHORS)
+def test_mixed_alphabet_date_mentions_match_ungated_scan(text, anchor):
+    assert extract_date_mentions(text, anchor) == text_oracle.extract_date_mentions(text, anchor)
+
+
 def test_ascii_lowercase_keeps_length_and_classes():
-    # The ASCII scan matches the lowercased sentence with the sentence's own
-    # offsets, so lowercasing must keep each character's length and its
-    # \w, \d and \s class, and IGNORECASE must add no other ASCII match.
+    # `corpus.tokenize` lowercases an ASCII sentence with str.lower in place
+    # of the ASCII-only table, and splits the result with a regex, so on
+    # ASCII str.lower must be that table and keep each character's \w, \d
+    # and \s class.  IGNORECASE matches an ASCII character to a letter only
+    # when it lowers to that letter.
     classes = [re.compile(r"\w"), re.compile(r"\d"), re.compile(r"\s")]
     for ch in map(chr, range(128)):
         low = ch.lower()
-        assert len(low) == 1 and low.isascii()
+        assert len(low) == 1 and low.isascii() and low == ch.translate(_ASCII_LOWER)
         assert [bool(c.match(ch)) for c in classes] == [bool(c.match(low)) for c in classes]
         for letter in "abcdefghijklmnopqrstuvwxyz":
             assert bool(re.match(letter, ch, re.IGNORECASE)) == (low == letter)
+
+
+def test_ignorecase_letters_keep_both_gates():
+    # Every code point that IGNORECASE matches to an ASCII letter, and the
+    # letters it matches.
+    any_letter = re.compile("[a-z]", re.IGNORECASE)
+    folds = {
+        ch: [letter for letter in string.ascii_lowercase if re.match(letter, ch, re.IGNORECASE)]
+        for ch in map(chr, range(0x110000))
+        if any_letter.match(ch)
+    }
+    # The relative-word gate looks for "today", "terday" and "tomorrow" in
+    # the lowered sentence: each character that matches one of their letters
+    # lowers to it, but for the long s, which stands for the "s" of
+    # "yesterday", outside "terday".
+    relative = set("".join(filter(str.isascii, temporal._REL_OFFSETS)))
+    for ch, letters in folds.items():
+        for letter in relative.intersection(letters):
+            assert ch.lower() == letter or (ch, letter) == ("\u017f", "s"), ch
+    # The month step-back walks over letters only, so it must not stop
+    # inside a month name.
+    month_letters = set("".join(temporal._MONTHS))
+    assert all(ch.isalpha() for ch, letters in folds.items() if month_letters.intersection(letters))
 
 
 def test_prefilters_pass_every_word():
@@ -174,8 +228,9 @@ def test_overlapping_and_anchored_dates(text, expected):
     assert [(m.span, m.resolved, m.kind) for m in mentions] == expected
 
 
-def test_non_ascii_sentences_keep_the_ignorecase_scan():
-    # "İ".lower() is two characters, so these sentences must not be lowercased.
+def test_non_ascii_sentences_take_the_same_anchored_scan():
+    # The scan matches the sentence as it is: "İ".lower() is two characters,
+    # which would shift every later offset.
     anchor = date(2021, 9, 10)
     cases = {
         "By \u017fept. 5, it was over.": [((3, 10), date(2021, 9, 5), "partial")],
@@ -187,6 +242,11 @@ def test_non_ascii_sentences_keep_the_ignorecase_scan():
             ((0, 7), date(2021, 4, 3), "partial"),
             ((12, 14), date(2021, 9, 9), "relative"),
         ],
+        # the CJK year is the last 4 digits of a longer run
+        "12021年3月5日": [((1, 10), date(2021, 3, 5), "explicit")],
+        "Sept.\u00a05,\u30002021": [((0, 13), date(2021, 9, 5), "explicit")],
+        "5\u3000May\u00a02021": [((0, 10), date(2021, 5, 5), "explicit")],
+        "ye\u017fterday": [((0, 9), date(2021, 9, 9), "relative")],
     }
     for text, expected in cases.items():
         assert not text.isascii()
