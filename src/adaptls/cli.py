@@ -13,7 +13,6 @@ import importlib
 import json
 import re
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 from .config import (
@@ -40,10 +39,11 @@ from .corpus import (
 from .errors import AdaptlsError, InsufficientTopics, MissingPrediction, UnknownTopic
 
 # Names bound on first use, each to (module, attribute or None for the module
-# itself).  They load numpy, multiprocessing or the date patterns, none of
-# which `eval` needs, or the evaluation metrics, which `train` and `run` do
-# not need.  Each stays an attribute of this module that a caller
-# may replace (bench/tracing.py does), and `_bind` never overwrites one.
+# itself).  They load numpy, multiprocessing, `dataclasses` or the date
+# patterns, none of which `eval` needs, or the evaluation metrics, which
+# `train` and `run` do not need.  Each stays an attribute of this module
+# that a caller may replace (bench/tracing.py does), and `_bind` never
+# overwrites one.
 _LAZY = {
     "adaptive_selection": (".adaptive_selection", None),
     "date_ranking": (".date_ranking", None),
@@ -53,6 +53,7 @@ _LAZY = {
     "expert_k": (".summarizer", "expert_k"),
     "build_vectorizer": (".tfidf", "build_vectorizer"),
     "annotate_topic": (".temporal", "annotate_topic"),
+    "asdict": ("dataclasses", "asdict"),
     "evaluation": (".evaluation", None),
     "ProcessPoolExecutor": ("concurrent.futures.process", "ProcessPoolExecutor"),
 }
@@ -81,10 +82,8 @@ def _bind(names) -> None:
 def _load_config(args) -> RunConfig:
     """The --config file (or the defaults) overridden by the given flags, checked."""
     config = read_config(args.config) if args.config else RunConfig()
-    for name in FIELD_NAMES:
-        value = getattr(args, name)
-        if value is not None:
-            setattr(config, name, value)
+    flags = {name: getattr(args, name) for name in FIELD_NAMES if getattr(args, name) is not None}
+    config = config._replace(**flags)
     config.validate()
     return config
 
@@ -258,7 +257,7 @@ def cmd_run(args) -> int:
     else:
         per_topic = [_run_topic(topic, config) for topic in dataset]
 
-    manifest = {"config": asdict(config), "outputs": []}
+    manifest = {"config": config._asdict(), "outputs": []}
     for outputs in per_topic:
         for output in outputs:
             file_name = _prediction_name(output["topic"], output["reference"])

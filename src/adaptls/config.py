@@ -11,8 +11,8 @@ numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import NamedTuple
 
 from .corpus import read_json
 from .errors import NotFound
@@ -77,8 +77,9 @@ def _check_choice(name: str, value, allowed) -> None:
         raise ValueError(f"unknown {name} {value!r}; expected one of {', '.join(allowed)}")
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
+    """Every run option; set fields with `_replace`, dump them with `_asdict`."""
+
     dataset_dir: str = ""
     output_dir: str = ""
     method: str = "adprm-d"
@@ -129,7 +130,7 @@ class RunConfig:
         return "opt" if self.method in BASELINE_METHODS else "rank"
 
 
-FIELD_NAMES = tuple(f.name for f in fields(RunConfig))
+FIELD_NAMES = RunConfig._fields
 
 
 def read_config(path) -> RunConfig:

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
 from datetime import date as Date, timedelta
 from itertools import repeat
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DateError, EmptyReference, NotFound, ParseError
 
@@ -91,27 +90,47 @@ class Sentence:
         return Sentence, (self.article_id, self.index, self.raw, self._given, self.mentions)
 
 
-@dataclass
-class Article:
+class Article(NamedTuple):
     id: str
     publish_date: Date
     title: str
     sentences: list[Sentence]
 
 
-@dataclass
-class Timeline:
+class _Record:
+    """Equality and repr over a subclass's `__slots__`, as a dataclass has them.
+
+    Pickles (protocol 2 and up) hold the slots' values and run no check.
+    """
+
+    __slots__ = ()
+    __hash__ = None  # mutable, as a dataclass with eq
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        pairs = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._values()))
+        return f"{type(self).__name__}({pairs})"
+
+
+class Timeline(_Record):
     """An ordered list of (date, summary sentences) entries.
 
     Entries are sorted ascending on construction; duplicate dates or empty
     daily summaries are rejected.
     """
 
-    name: str
-    entries: list[tuple[Date, list[str]]]
+    __slots__ = ("name", "entries")
 
-    def __post_init__(self):
-        self.entries = sorted(self.entries, key=lambda e: e[0])
+    def __init__(self, name: str, entries: list[tuple[Date, list[str]]]):
+        self.name = name
+        self.entries = sorted(entries, key=lambda e: e[0])
         seen = set()
         for day, summary in self.entries:
             if day in seen:
@@ -141,12 +160,20 @@ class Timeline:
         }
 
 
-@dataclass
-class Topic:
-    name: str
-    articles: list[Article]
-    queries: list[str] = field(default_factory=list)
-    reference_timelines: list[Timeline] = field(default_factory=list)
+class Topic(_Record):
+    __slots__ = ("name", "articles", "queries", "reference_timelines")
+
+    def __init__(
+        self,
+        name: str,
+        articles: list[Article],
+        queries: list[str] | None = None,
+        reference_timelines: list[Timeline] | None = None,
+    ):
+        self.name = name
+        self.articles = articles
+        self.queries = [] if queries is None else queries
+        self.reference_timelines = [] if reference_timelines is None else reference_timelines
 
     def sentences(self) -> list[Sentence]:
         return [s for a in self.articles for s in a.sentences]
@@ -174,12 +201,19 @@ _TERMINATOR_RE = re.compile(r"([.!?。！？])(?=\s+(\S?)|\Z)")
 # A run of word characters other than "_" and CJK ideographs (CJK Unified
 # Ideographs plus extension A; enough for news text), or one such ideograph.
 # The lookahead skips code points of the range that the Unicode tables of
-# the running Python leave unassigned, as the character loop did.
-_TOKEN_RE = re.compile(r"[^\W_一-鿿㐀-䶿]+|(?=\w)[一-鿿㐀-䶿]")
+# the running Python leave unassigned, as the character loop did.  Only
+# non-ASCII sentences need it, so `re` compiles it on first use.
+_TOKEN_PATTERN = r"[^\W_一-鿿㐀-䶿]+|(?=\w)[一-鿿㐀-䶿]"
 
 _ASCII_LOWER = str.maketrans(
     "ABCDEFGHIJKLMNOPQRSTUVWXYZ", "abcdefghijklmnopqrstuvwxyz"
 )
+
+# On ASCII the token characters are the letters and digits: lowercase the
+# letters and turn every other character into a space.
+_ASCII_TOKENS = {
+    code: chr(code).lower() if chr(code).isalnum() else " " for code in range(128)
+}
 
 
 def sentence_split(text: str) -> list[str]:
@@ -213,9 +247,9 @@ def tokenize(sentence: str) -> list[str]:
     letters are lowercased.  CJK text should arrive pre-tokenized; otherwise
     each CJK codepoint falls back to being its own token.
     """
-    # On ASCII text str.lower is the same mapping, and much faster.
-    lowered = sentence.lower() if sentence.isascii() else sentence.translate(_ASCII_LOWER)
-    return _TOKEN_RE.findall(lowered)
+    if sentence.isascii():
+        return sentence.translate(_ASCII_TOKENS).split()
+    return re.findall(_TOKEN_PATTERN, sentence.translate(_ASCII_LOWER))
 
 
 # ---------------------------------------------------------------------------

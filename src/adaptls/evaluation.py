@@ -4,21 +4,22 @@ The align metric maps every generated date to the reference date maximizing
 rouge-1 F1 weighted by temporal proximity gamma = 1/(1 + |day gap|), then
 scores each aligned pair by rouge-n F1 times gamma.  Precision averages the
 contributions over generated dates; recall credits each reference date with
-the best contribution among the generated dates aligned to it.
+the best contribution among the generated dates aligned to it.  An empty
+generated timeline scores zero.  `tests/align_oracle.py` keeps the metric
+as first written, a `Counter` and a `PRF` per date pair.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from datetime import date as Date
+from typing import NamedTuple
 
-from .corpus import Timeline, Topic, tokenize
+from .corpus import Timeline, Topic, _Record, tokenize
 from .errors import EmptyCorpus, EmptyDataset, EmptyReference, EmptyTimeline
 
 
-@dataclass(frozen=True)
-class PRF:
+class PRF(NamedTuple):
     precision: float
     recall: float
     f1: float
@@ -29,6 +30,9 @@ class PRF:
             return PRF(precision, recall, 0.0)
         f1 = 2.0 * precision * recall / (precision + recall)
         return PRF(precision, recall, f1)
+
+
+_ZERO = PRF(0.0, 0.0, 0.0)
 
 
 def date_f1(pred: Timeline, ref: Timeline) -> PRF:
@@ -44,28 +48,40 @@ def date_f1(pred: Timeline, ref: Timeline) -> PRF:
 
 
 def _ngrams(tokens: list[str], n: int) -> Counter:
-    return Counter(
-        tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1)
-    )
+    """The n-gram table of `tokens` (n = 1 or 2); a unigram is its token."""
+    return Counter(tokens if n == 1 else zip(tokens, tokens[1:]))
 
 
-def _rouge_counts(pred_counts: Counter, ref_counts: Counter) -> PRF:
-    pred_total = sum(pred_counts.values())
-    ref_total = sum(ref_counts.values())
-    if pred_total == 0 or ref_total == 0:
-        return PRF(0.0, 0.0, 0.0)
-    small, large = sorted((pred_counts, ref_counts), key=len)
-    overlap = sum(
-        min(count, large[gram]) for gram, count in small.items() if gram in large
-    )
-    return PRF.from_pr(overlap / pred_total, overlap / ref_total)
+def _tables(tokens_by_day: dict[Date, list[str]], n: int) -> dict[Date, Counter]:
+    return {day: _ngrams(tokens, n) for day, tokens in tokens_by_day.items()}
+
+
+def _overlap(a: Counter, b: Counter) -> int:
+    """Clipped n-gram overlap of two tables."""
+    if len(a) > len(b):
+        a, b = b, a
+    return sum(min(count, b[gram]) for gram, count in a.items() if gram in b)
+
+
+def _f1(overlap: int, pred_total: int, ref_total: int) -> float:
+    """`PRF.from_pr(overlap / pred_total, overlap / ref_total).f1`, 0 without overlap."""
+    if not overlap:
+        return 0.0
+    precision = overlap / pred_total
+    recall = overlap / ref_total
+    return 2.0 * precision * recall / (precision + recall)
 
 
 def rouge_n(pred_tokens: list[str], ref_tokens: list[str], n: int) -> PRF:
     """Clipped n-gram overlap precision/recall/F1 (n = 1 or 2)."""
     if n not in (1, 2):
         raise ValueError("n must be 1 or 2")
-    return _rouge_counts(_ngrams(pred_tokens, n), _ngrams(ref_tokens, n))
+    pred_total = len(pred_tokens) - n + 1
+    ref_total = len(ref_tokens) - n + 1
+    if pred_total <= 0 or ref_total <= 0:
+        return _ZERO
+    overlap = _overlap(_ngrams(pred_tokens, n), _ngrams(ref_tokens, n))
+    return PRF.from_pr(overlap / pred_total, overlap / ref_total)
 
 
 def entry_tokens(timeline: Timeline) -> dict[Date, list[str]]:
@@ -75,46 +91,65 @@ def entry_tokens(timeline: Timeline) -> dict[Date, list[str]]:
     }
 
 
-def _gamma(a: Date, b: Date) -> float:
-    return 1.0 / (1.0 + abs((a - b).days))
+def _gamma(gap: int) -> float:
+    """Temporal proximity of two dates `gap` days apart."""
+    return 1.0 / (1.0 + gap)
 
 
 def align_dates(
-    pred_tokens: dict[Date, list[str]], ref_tokens: dict[Date, list[str]]
+    pred_tokens: dict[Date, list[str]],
+    ref_tokens: dict[Date, list[str]],
+    unigrams: tuple[dict[Date, Counter], dict[Date, Counter]] | None = None,
 ) -> list[tuple[Date, Date, float]]:
     """m:1 alignment of generated dates onto reference dates.
 
-    Takes both timelines as `entry_tokens`.  Each generated date picks the
-    reference date maximizing rouge_1 F1 * gamma; ties go to the temporally
-    nearest, then earlier, reference date.
+    Takes both timelines as `entry_tokens`, and optionally their unigram
+    tables (`_tables(tokens, 1)` of each), else builds them.  Each
+    generated date picks the reference date maximizing rouge_1 F1 * gamma;
+    ties go to the temporally nearest, then earlier, reference date.
     """
     if not pred_tokens or not ref_tokens:
         raise EmptyTimeline("align_dates needs two non-empty timelines")
-    ref_counts = {day: _ngrams(tokens, 1) for day, tokens in ref_tokens.items()}
+    pred_grams, ref_grams = unigrams or (_tables(pred_tokens, 1), _tables(ref_tokens, 1))
+    refs = [(day, len(tokens), ref_grams[day]) for day, tokens in ref_tokens.items()]
     alignment = []
     for p_day, p_tokens in pred_tokens.items():
-        p_counts = _ngrams(p_tokens, 1)
+        p_total = len(p_tokens)
+        p_grams = pred_grams[p_day]
         best = None
-        for r_day, r_counts in ref_counts.items():
-            score = _rouge_counts(p_counts, r_counts).f1 * _gamma(p_day, r_day)
-            key = (-score, abs((p_day - r_day).days), r_day)
-            if best is None or key < best[0]:
-                best = (key, r_day)
-        alignment.append((p_day, best[1], _gamma(p_day, best[1])))
+        for r_day, r_total, r_grams in refs:
+            gap = abs((p_day - r_day).days)
+            score = _f1(_overlap(p_grams, r_grams), p_total, r_total) * _gamma(gap)
+            key = (-score, gap, r_day)
+            if best is None or key < best:
+                best = key
+        _, gap, r_day = best
+        alignment.append((p_day, r_day, _gamma(gap)))
     return alignment
 
 
-def _align_rouge(pred: Timeline, ref: Timeline, ns) -> list[PRF]:
-    """Align-based ROUGE-n F1 for each n in `ns`, from one alignment."""
+def _align_rouge(pred: Timeline, ref: Timeline) -> tuple[PRF, PRF]:
+    """Align-based ROUGE-1 and ROUGE-2 F1, from one alignment.
+
+    Each entry's unigram and bigram tables are built once; an empty
+    generated timeline scores zero.
+    """
+    if not pred.entries:
+        return _ZERO, _ZERO
     pred_tokens = entry_tokens(pred)
     ref_tokens = entry_tokens(ref)
-    alignment = align_dates(pred_tokens, ref_tokens)
+    unigrams = (_tables(pred_tokens, 1), _tables(ref_tokens, 1))
+    alignment = align_dates(pred_tokens, ref_tokens, unigrams)
+    aligned_refs = {r_day: ref_tokens[r_day] for _, r_day, _ in alignment}
+    bigrams = (_tables(pred_tokens, 2), _tables(aligned_refs, 2))
     scores = []
-    for n in ns:
+    for n, (pred_grams, ref_grams) in ((1, unigrams), (2, bigrams)):
         contributions: dict[Date, float] = {}
         best_per_ref: dict[Date, float] = {}
         for p_day, r_day, gamma in alignment:
-            value = rouge_n(pred_tokens[p_day], ref_tokens[r_day], n).f1 * gamma
+            overlap = _overlap(pred_grams[p_day], ref_grams[r_day])
+            f1 = _f1(overlap, len(pred_tokens[p_day]) - n + 1, len(ref_tokens[r_day]) - n + 1)
+            value = f1 * gamma
             contributions[p_day] = value
             best_per_ref[r_day] = max(best_per_ref.get(r_day, 0.0), value)
         precision = sum(contributions.values()) / len(pred.entries)
@@ -122,15 +157,14 @@ def _align_rouge(pred: Timeline, ref: Timeline, ns) -> list[PRF]:
             ref.entries
         )
         scores.append(PRF.from_pr(precision, recall))
-    return scores
+    return scores[0], scores[1]
 
 
 # ---------------------------------------------------------------------------
 # reports
 
 
-@dataclass(frozen=True)
-class PairResult:
+class PairResult(NamedTuple):
     topic: str
     reference: str
     date_f1: PRF
@@ -138,9 +172,11 @@ class PairResult:
     ar2: PRF
 
 
-@dataclass
-class EvalReport:
-    pairs: list[PairResult] = field(default_factory=list)
+class EvalReport(_Record):
+    __slots__ = ("pairs",)
+
+    def __init__(self, pairs: list[PairResult] | None = None):
+        self.pairs = [] if pairs is None else pairs
 
     def macro(self) -> dict[str, float]:
         if not self.pairs:
@@ -181,7 +217,7 @@ class EvalReport:
 
 
 def evaluate_pair(pred: Timeline, ref: Timeline, topic: str) -> PairResult:
-    ar1, ar2 = _align_rouge(pred, ref, (1, 2))
+    ar1, ar2 = _align_rouge(pred, ref)
     return PairResult(
         topic=topic,
         reference=ref.name,
@@ -195,8 +231,7 @@ def evaluate_pair(pred: Timeline, ref: Timeline, topic: str) -> PairResult:
 # dataset statistics
 
 
-@dataclass(frozen=True)
-class StatsReport:
+class StatsReport(NamedTuple):
     topics: int
     timelines: int
     avg_sent_num: float

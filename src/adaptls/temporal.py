@@ -8,7 +8,6 @@ relative words.  Anything it cannot parse is skipped, never guessed.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from datetime import date as Date, timedelta
 from typing import NamedTuple
 
@@ -26,8 +25,7 @@ class DateMention(NamedTuple):
     kind: str  # "explicit" | "relative" | "partial"
 
 
-@dataclass(frozen=True)
-class DateCandidate:
+class DateCandidate(NamedTuple):
     date: Date
     mention_count: int
     pub_article_count: int

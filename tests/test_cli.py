@@ -555,6 +555,21 @@ class TestEval:
         assert report["macro"]["DATE-F1"] == 0.0
         assert report["macro"]["AR1-F"] == 0.0
 
+    def test_empty_prediction_scores_zero(self, planted_dir, tmp_path):
+        pred_dir = self._reference_predictions(planted_dir, tmp_path)
+        empty, *scored = sorted(pred_dir.iterdir())
+        empty.write_text(json.dumps({"entries": []}))
+        out_prefix = tmp_path / "report"
+        argv = ["eval", "--pred", str(pred_dir), "--dataset", str(planted_dir), "--out", str(out_prefix)]
+        assert main(argv) == 0
+        pairs = json.loads(out_prefix.with_suffix(".json").read_text())["pairs"]
+        zero = {"precision": 0.0, "recall": 0.0, "f1": 0.0}
+        assert [pair["ar1"] for pair in pairs].count(zero) == 1
+        for pair in pairs:
+            expected = zero if pair["ar1"] == zero else {"precision": 1.0, "recall": 1.0, "f1": 1.0}
+            assert pair["date_f1"] == pair["ar1"] == pair["ar2"] == expected
+        assert len(pairs) == len(scored) + 1
+
     def test_missing_prediction_file_errors(self, planted_dir, tmp_path, capsys):
         pred_dir = tmp_path / "empty"
         pred_dir.mkdir()

@@ -1,7 +1,7 @@
 import json
 import math
 import pickle
-from datetime import timedelta
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
@@ -13,7 +13,9 @@ from adaptls.corpus import (
     EARLIEST_PUBLISH_DATE,
     LATEST_PUBLISH_DATE,
     LOOKBACK_DAYS,
+    Article,
     Sentence,
+    Timeline,
     Topic,
     filter_by_queries,
     load_dataset,
@@ -342,6 +344,47 @@ class TestLoadTopic:
             assert len(topic.sentences()) == sum(
                 len(a.sentences) for a in topic.articles
             )
+
+
+class TestDataModel:
+    def test_timeline_sorts_and_checks_entries(self):
+        d1, d2 = date(2020, 1, 1), date(2020, 1, 2)
+        timeline = Timeline("t", [(d2, ["B."]), (d1, ["A."])])
+        assert timeline.entries == [(d1, ["A."]), (d2, ["B."])]
+        assert (timeline.length, timeline.total_sentences, timeline.dates()) == (2, 2, [d1, d2])
+        with pytest.raises(ValueError, match="duplicate timeline date 2020-01-01"):
+            Timeline("t", [(d1, ["A."]), (d1, ["B."])])
+        with pytest.raises(ValueError, match="empty summary for 2020-01-02"):
+            Timeline("t", [(d2, [])])
+
+    def test_timeline_equality_repr_and_pickling(self):
+        timeline = Timeline("t", [(date(2020, 1, 1), ["A."])])
+        assert timeline == Timeline("t", [(date(2020, 1, 1), ["A."])])
+        assert timeline != Timeline("u", timeline.entries)
+        assert timeline != ("t", timeline.entries)
+        assert repr(timeline) == "Timeline(name='t', entries=[(datetime.date(2020, 1, 1), ['A.'])])"
+        assert pickle.loads(pickle.dumps(timeline)) == timeline
+        with pytest.raises(TypeError):
+            hash(timeline)
+
+    def test_topic_defaults_equality_and_pickling(self, mini_dataset):
+        assert Topic("t", []).queries == [] and Topic("t", []).queries is not Topic("t", []).queries
+        assert Topic("t", []) == Topic("t", [], [], []) != Topic("u", [])
+        assert repr(Topic("t", [])) == "Topic(name='t', articles=[], queries=[], reference_timelines=[])"
+        for topic in mini_dataset:  # as `run --jobs` sends it to a worker
+            copy = pickle.loads(pickle.dumps(topic))
+            assert copy == topic and repr(copy) == repr(topic)
+        with pytest.raises(TypeError):
+            hash(Topic("t", []))
+
+    def test_article_fields_and_immutability(self):
+        article = Article("a", date(2020, 1, 1), "T", [])
+        assert (article.id, article.publish_date, article.title, article.sentences) == (
+            "a", date(2020, 1, 1), "T", []
+        )
+        with pytest.raises(AttributeError):
+            article.title = "U"
+        assert pickle.loads(pickle.dumps(article)) == article
 
 
 class TestLoadReferences:

@@ -1,9 +1,10 @@
 import math
+import pickle
 from collections import Counter
 from datetime import date, timedelta
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from adaptls.corpus import Timeline, tokenize
 from adaptls.errors import EmptyDataset, EmptyReference, EmptyTimeline
@@ -18,6 +19,7 @@ from adaptls.evaluation import (
     rouge_n,
 )
 
+import align_oracle
 from align_oracle import align_rouge_f1
 
 
@@ -363,6 +365,30 @@ class TestAlignRougeF1:
         assert pair.ar2 == align_rouge_f1(pred, ref, 2)
 
 
+# Summaries of few, often repeated words; a sentence of punctuation only has
+# no tokens, and one word alone has no bigram.
+SENTENCE = st.lists(st.sampled_from(["Aa", "bb", "aa", "cc", "dd", "--", "!"]), min_size=1, max_size=6).map(" ".join)
+ENTRIES = st.dictionaries(
+    st.dates(date(2020, 1, 1), date(2020, 1, 12)),
+    st.lists(SENTENCE, min_size=1, max_size=3),
+    max_size=6,
+)
+
+
+@settings(max_examples=400)
+@given(ENTRIES, ENTRIES.filter(bool))
+def test_evaluate_pair_equals_align_oracle(pred_entries, ref_entries):
+    # Equal with ==: the same floats, not approximately.  Nearby dates and
+    # shared words give ties; the prediction may be empty.
+    pred = Timeline("generated", list(pred_entries.items()))
+    ref = Timeline("ref", list(ref_entries.items()))
+    assert evaluate_pair(pred, ref, "t") == align_oracle.evaluate_pair(pred, ref, "t")
+    if pred.entries:
+        assert align_dates(entry_tokens(pred), entry_tokens(ref)) == align_oracle.align_dates(
+            entry_tokens(pred), entry_tokens(ref)
+        )
+
+
 class TestEvalReport:
     def test_macro_averages(self):
         a = evaluate_pair(
@@ -379,6 +405,25 @@ class TestEvalReport:
         macro = report.macro()
         assert macro["DATE-F1"] == pytest.approx((1.0 + 0.0) / 2)
         assert macro["AR1-F"] == pytest.approx(a.ar1.f1 / 2)
+
+    def test_empty_prediction_scores_zero(self):
+        ref = _tl([(date(2020, 1, 1), ["Aa bb."])], name="ref")
+        pair = evaluate_pair(Timeline("generated", []), ref, "t")
+        assert pair == ("t", "ref", PRF(0.0, 0.0, 0.0), PRF(0.0, 0.0, 0.0), PRF(0.0, 0.0, 0.0))
+
+    def test_equality_repr_and_pickling(self):
+        pair = evaluate_pair(
+            _tl([(date(2020, 1, 1), ["Aa bb."])]), _tl([(date(2020, 1, 2), ["Aa cc."])]), "t1"
+        )
+        report = EvalReport([pair])
+        assert EvalReport().pairs == [] and EvalReport().pairs is not EvalReport().pairs
+        assert report == EvalReport([pair]) and report != EvalReport()
+        assert repr(report) == f"EvalReport(pairs=[{pair!r}])"
+        assert repr(pair).startswith("PairResult(topic='t1', reference='tl', date_f1=PRF(precision=0.0")
+        copy = pickle.loads(pickle.dumps(report))
+        assert copy == report and copy.to_json_obj() == report.to_json_obj()
+        with pytest.raises(TypeError):
+            hash(report)
 
     def test_json_and_table_render(self):
         pair = evaluate_pair(

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from adaptls import temporal
-from adaptls.corpus import _ASCII_LOWER, sentence_split, tokenize
+from adaptls.corpus import _ASCII_LOWER, _TOKEN_PATTERN, sentence_split, tokenize
 from adaptls.temporal import extract_date_mentions
 import text_oracle
 
@@ -117,6 +117,26 @@ def test_tokenize_matches_character_loop(text):
     assert tokenize(text) == text_oracle.tokenize(text)
 
 
+def _regex_tokens(text: str) -> list[str]:
+    """The tokens of the regex that `tokenize` keeps for non-ASCII text."""
+    return re.findall(_TOKEN_PATTERN, text.translate(_ASCII_LOWER))
+
+
+def test_ascii_tokens_match_regex_on_every_code_point():
+    # `tokenize` splits an ASCII sentence with a translation table, not the
+    # regex: each of the 128 characters alone, between letters, between
+    # digits and repeated must give the regex's tokens.
+    for ch in map(chr, range(128)):
+        for text in (ch, f"a{ch}B", f"1{ch}2", f"{ch}x{ch}{ch}9{ch}"):
+            assert tokenize(text) == _regex_tokens(text), repr(text)
+
+
+@settings(max_examples=400)
+@given(st.one_of(ASCII_TEXT, st.text(alphabet=st.characters(max_codepoint=127))))
+def test_ascii_tokens_match_regex(text):
+    assert tokenize(text) == _regex_tokens(text)
+
+
 @settings(max_examples=400)
 @given(TEXT, ANCHORS)
 def test_date_mentions_match_ungated_scan(text, anchor):
@@ -137,11 +157,9 @@ def test_mixed_alphabet_date_mentions_match_ungated_scan(text, anchor):
 
 
 def test_ascii_lowercase_keeps_length_and_classes():
-    # `corpus.tokenize` lowercases an ASCII sentence with str.lower in place
-    # of the ASCII-only table, and splits the result with a regex, so on
-    # ASCII str.lower must be that table and keep each character's \w, \d
-    # and \s class.  IGNORECASE matches an ASCII character to a letter only
-    # when it lowers to that letter.
+    # On ASCII str.lower is the ASCII-only table of `corpus.tokenize` and
+    # keeps each character's \w, \d and \s class.  IGNORECASE matches an
+    # ASCII character to a letter only when it lowers to that letter.
     classes = [re.compile(r"\w"), re.compile(r"\d"), re.compile(r"\s")]
     for ch in map(chr, range(128)):
         low = ch.lower()
