@@ -13,7 +13,8 @@ default):
 
 - `train`;
 - `run` under `adprm-d`, `adprm-e`, `clust --constraint base` and
-  `datewise --constraint base --summarizer opt`, each followed by `eval`;
+  `datewise --constraint base --summarizer opt`, each followed by `eval`
+  and by `knee-curve` on the dataset's first topic in sorted order;
 - `stats --json`.
 
 Each output line is `<sha256>  <DATASET>/<file>`, over every file written,
@@ -80,13 +81,15 @@ def _build(dataset: str, target: Path) -> None:
             shutil.copytree(Path(tmp) / "dataset", target)
 
 
-def _commands() -> list[tuple[str, list[str]]]:
+def _commands(first_topic: str) -> list[tuple[str, list[str]]]:
     commands = [("train", ["train", "dataset", "--out", "regressors"])]
     for name, flags in RUNS.items():
         out = f"out/{name}"
-        run = ["run", "--dataset-dir", "dataset", "--output-dir", out, "--regressors", "regressors"]
-        commands.append((f"run-{name}", run + flags))
+        config = ["--dataset-dir", "dataset", "--regressors", "regressors", *flags]
+        commands.append((f"run-{name}", ["run", "--output-dir", out, *config]))
         commands.append((f"eval-{name}", ["eval", "--pred", out, "--dataset", "dataset"]))
+        knee = ["knee-curve", "--topic", first_topic, "--out", f"knee/{name}.csv", *config]
+        commands.append((f"knee-{name}", knee))
     commands.append(("stats", ["stats", "dataset", "--json"]))
     return commands
 
@@ -98,7 +101,8 @@ def digests(dataset: str, src: Path) -> list[str]:
         work = Path(tmp)
         _build(dataset, work / "dataset")
         (work / "log").mkdir()
-        for name, argv in _commands():
+        topics = (path.parent.name for path in (work / "dataset").glob("*/articles.jsonl"))
+        for name, argv in _commands(min(topics)):
             result = subprocess.run(
                 [sys.executable, "-m", "adaptls.cli", *argv],
                 cwd=work, env=env, capture_output=True,

@@ -29,7 +29,7 @@ class KneePoint:
 
 
 def normalize_scores(scores: list[float]) -> list[float]:
-    """Min-max normalize to [0, 1]; a constant input maps to all ones."""
+    """Min-max normalize finite scores to [0, 1]; a constant input maps to all ones."""
     if not scores:
         raise EmptyInput("no scores to normalize")
     lo = min(scores)
@@ -37,6 +37,8 @@ def normalize_scores(scores: list[float]) -> list[float]:
     if hi == lo:
         return [1.0] * len(scores)
     span = hi - lo
+    if math.isinf(span):  # halved, the scores have a finite span
+        scores, lo, span = [s / 2 for s in scores], lo / 2, hi / 2 - lo / 2
     return [(s - lo) / span for s in scores]
 
 

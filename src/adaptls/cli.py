@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import importlib
 import json
+import math
 import re
 import sys
 from pathlib import Path
@@ -36,7 +37,9 @@ from .corpus import (
     read_json,
     timeline_from_obj,
 )
-from .errors import AdaptlsError, InsufficientTopics, MissingPrediction, UnknownTopic
+from .errors import (
+    AdaptlsError, InsufficientTopics, MissingPrediction, NameClash, NonFiniteScore, UnknownTopic
+)
 
 # Names bound on first use, each to (module, attribute or None for the module
 # itself).  They load numpy, multiprocessing, `dataclasses` or the date
@@ -100,6 +103,20 @@ def _prediction_name(topic_name: str, ref_name: str) -> str:
     return f"{_safe_name(topic_name)}__{_safe_name(ref_name)}.json"
 
 
+def _check_names(references) -> None:
+    """Reject (topic name, reference timelines) pairs where two topics would
+    share a regressor file or two references a prediction file."""
+    owners: dict[str, str] = {}
+    for topic, timelines in references:
+        for file_name, owner in [(_regressor_name(topic), f"topic {topic!r}")] + [
+            (_prediction_name(topic, t.name), f"reference {t.name!r} of topic {topic!r}")
+            for t in timelines
+        ]:
+            if file_name in owners:
+                raise NameClash(f"{owners[file_name]} and {owner} share the file name {file_name}")
+            owners[file_name] = owner
+
+
 def _prepare(topic: Topic, config: RunConfig) -> Topic:
     annotate_topic(topic)
     if config.use_query_filter:
@@ -107,31 +124,31 @@ def _prepare(topic: Topic, config: RunConfig) -> Topic:
     return topic
 
 
-def _load_regressor(config: RunConfig, topic_name: str):
+def _score_dates(config: RunConfig, topic: Topic):
+    """(date, None, score) items of the topic's trained regressor, best first."""
     if not config.regressors_dir:
         raise AdaptlsError(
             f"method {config.method!r} needs --regressors (run `adaptls train` first)"
         )
-    path = Path(config.regressors_dir) / _regressor_name(topic_name)
+    path = Path(config.regressors_dir) / _regressor_name(topic.name)
     if not path.is_file():
-        raise MissingPrediction(f"no trained regressor for topic {topic_name!r}: {path}")
-    return date_ranking.Regressor.load(path)
+        raise MissingPrediction(f"no trained regressor for topic {topic.name!r}: {path}")
+    scored = date_ranking.score_dates(date_ranking.Regressor.load(path), topic)
+    if not all(math.isfinite(score) for _, score in scored):
+        raise NonFiniteScore(f"{path}: gives a date of topic {topic.name!r} a non-finite score")
+    return [(cand.date, None, score) for cand, score in scored]
 
 
 def _score_items(topic: Topic, config: RunConfig, vec):
-    """Ranked (date, cluster-or-None, score) items for the configured method.
+    """Ranked (date, rows, score) items for the configured method.
 
-    An item is kept only if it can be summarized: its pool of candidate
-    sentences in `vec`, the topic's representation, is not empty.  So the
-    knee, l and the entries written count the same items.  Event methods
-    build their article graph from `vec`.
+    `rows` is the item's pool of candidate sentences in `vec`, the topic's
+    representation, built once here.  An item is kept only if its pool is
+    not empty, so the knee, l and the entries written count the same items.
+    Event methods build their article graph from `vec`.
     """
     if config.method in DATE_METHODS:
-        regressor = _load_regressor(config, topic.name)
-        items = [
-            (cand.date, None, score)
-            for cand, score in date_ranking.score_dates(regressor, topic)
-        ]
+        items = _score_dates(config, topic)
     else:
         scored, _ = event_ranking.detect_events(
             topic,
@@ -144,25 +161,18 @@ def _score_items(topic: Topic, config: RunConfig, vec):
             vec=vec,
         )
         items = [(cluster.event_date, cluster, score) for cluster, score in scored]
-    return [
-        (day, cluster, score)
-        for day, cluster, score in items
-        if candidate_sentences(vec, day, cluster)
-    ]
+    pools = ((day, candidate_sentences(vec, day, cluster), score) for day, cluster, score in items)
+    return [item for item in pools if item[1]]
 
 
 def _select_top(items, limit: int):
-    """Take the best `limit` items with distinct dates (event clusters can tie)."""
-    selected = []
-    seen = set()
-    for day, cluster, _ in items:
-        if day in seen:
-            continue
-        seen.add(day)
-        selected.append((day, cluster))
-        if len(selected) >= limit:
+    """The (date, rows) of the best `limit` items with distinct dates (event clusters can tie)."""
+    selected = {}
+    for day, rows, _ in items:
+        if len(selected) == limit:
             break
-    return selected
+        selected.setdefault(day, rows)
+    return list(selected.items())
 
 
 def _choose_length(items, config: RunConfig):
@@ -176,7 +186,7 @@ def _choose_length(items, config: RunConfig):
 
 
 def _run_topic(topic: Topic, config: RunConfig):
-    """Generate one timeline per reference timeline of the topic.
+    """(manifest entry, timeline) per reference timeline of the topic.
 
     The adaptive constraint builds one timeline of the knee's length l, with
     k = 1 or the expert k of all the topic's references.  The base
@@ -202,16 +212,15 @@ def _run_topic(topic: Topic, config: RunConfig):
             l, k, knee = reference.length, expert_k([reference]), None
         if timeline is None or not adaptive:
             timeline = build_timeline(topic, _select_top(items, l), k, summarizer, vec)
-        outputs.append(
-            {
-                "topic": topic.name,
-                "reference": reference.name,
-                "timeline": timeline.to_json_obj(),
-                "l": timeline.length,
-                "k": k,
-                "knee": knee,
-            }
-        )
+        entry = {
+            "file": _prediction_name(topic.name, reference.name),
+            "topic": topic.name,
+            "reference": reference.name,
+            "l": timeline.length,
+            "k": k,
+            "knee": knee,
+        }
+        outputs.append((entry, timeline))
     return outputs
 
 
@@ -222,6 +231,7 @@ def cmd_train(args) -> int:
         raise InsufficientTopics(
             "leave-one-topic-out training needs at least 2 topics"
         )
+    _check_names((t.name, t.reference_timelines) for t in dataset)
     _bind(["annotate_topic", "date_ranking"])
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -243,6 +253,7 @@ def cmd_run(args) -> int:
     if not config.dataset_dir or not config.output_dir:
         raise ValueError("run needs --dataset-dir and --output-dir")
     dataset = load_dataset(config.dataset_dir)
+    _check_names((t.name, t.reference_timelines) for t in dataset)
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -259,23 +270,12 @@ def cmd_run(args) -> int:
 
     manifest = {"config": config._asdict(), "outputs": []}
     for outputs in per_topic:
-        for output in outputs:
-            file_name = _prediction_name(output["topic"], output["reference"])
-            (out_dir / file_name).write_text(
-                json.dumps(output["timeline"], ensure_ascii=False, indent=2)
-                + "\n",
+        for entry, timeline in outputs:
+            (out_dir / entry["file"]).write_text(
+                json.dumps(timeline.to_json_obj(), ensure_ascii=False, indent=2) + "\n",
                 encoding="utf-8",
             )
-            manifest["outputs"].append(
-                {
-                    "file": file_name,
-                    "topic": output["topic"],
-                    "reference": output["reference"],
-                    "l": output["l"],
-                    "k": output["k"],
-                    "knee": output["knee"],
-                }
-            )
+            manifest["outputs"].append(entry)
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest, ensure_ascii=False, indent=2) + "\n",
         encoding="utf-8",
@@ -294,8 +294,10 @@ def _load_prediction(pred_dir: Path, topic_name: str, ref_name: str) -> Timeline
 def cmd_eval(args) -> int:
     pred_dir = Path(args.pred)
     _bind(["evaluation"])
+    dataset = load_references(args.dataset)
+    _check_names(dataset)
     report = evaluation.EvalReport()
-    for topic_name, references in load_references(args.dataset):
+    for topic_name, references in dataset:
         for reference in references:
             pred = _load_prediction(pred_dir, topic_name, reference.name)
             report.pairs.append(
@@ -330,6 +332,7 @@ def cmd_knee_curve(args) -> int:
     if not config.dataset_dir:
         raise ValueError("knee-curve needs --dataset-dir")
     dataset = load_dataset(config.dataset_dir)
+    _check_names((t.name, t.reference_timelines) for t in dataset)
     matches = [t for t in dataset if t.name == args.topic]
     if not matches:
         raise UnknownTopic(f"topic {args.topic!r} not in dataset")

@@ -40,27 +40,54 @@ LATEST_PUBLISH_DATE = Date.max - timedelta(days=STEP_DAYS)
 # domain types
 
 
-class Sentence:
+class _Record:
+    """Equality, repr and pickles over a subclass's `_fields`, as a dataclass has them.
+
+    A pickle rebuilds the record by calling its class with `_args()`, which
+    are the fields' values unless the subclass says otherwise.
+    """
+
+    __slots__ = ()
+    __hash__ = None  # mutable, as a dataclass with eq
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def _args(self) -> tuple:
+        return self._values()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        pairs = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values()))
+        return f"{type(self).__name__}({pairs})"
+
+    def __reduce__(self):
+        return type(self), self._args()
+
+
+class Sentence(_Record):
     """One sentence of an article: raw text, tokens and date mentions.
 
     `tokens` are the ones given (pretokenized input) or else `tokenize(raw)`,
-    computed on first read and kept.  Equality, repr and pickles see the
-    tokens' value, never whether they were computed yet: a pickle holds only
-    given tokens.
+    computed on first read and kept.  Equality and repr see the tokens'
+    value, never whether they were computed yet; a pickle holds only given
+    tokens.
     """
 
-    __slots__ = ("article_id", "index", "raw", "mentions", "_given", "_tokens")
+    __slots__ = ("raw", "mentions", "_given", "_tokens")
+    _fields = ("raw", "tokens", "mentions")
 
     def __init__(
         self,
-        article_id: str,
-        index: int,
         raw: str,
         tokens: list[str] | None = None,
         mentions: list["DateMention"] | None = None,
     ):
-        self.article_id = article_id
-        self.index = index
         self.raw = raw
         self.mentions = [] if mentions is None else mentions
         self._given = self._tokens = tokens
@@ -71,23 +98,8 @@ class Sentence:
             self._tokens = tokenize(self.raw)
         return self._tokens
 
-    def _fields(self) -> tuple:
-        return (self.article_id, self.index, self.raw, self.tokens, self.mentions)
-
-    def __eq__(self, other):
-        if other.__class__ is not Sentence:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    __hash__ = None  # mutable, as a dataclass with eq
-
-    def __repr__(self) -> str:
-        names = ("article_id", "index", "raw", "tokens", "mentions")
-        pairs = ", ".join(f"{n}={v!r}" for n, v in zip(names, self._fields()))
-        return f"Sentence({pairs})"
-
-    def __reduce__(self):
-        return Sentence, (self.article_id, self.index, self.raw, self._given, self.mentions)
+    def _args(self) -> tuple:
+        return self.raw, self._given, self.mentions
 
 
 class Article(NamedTuple):
@@ -97,28 +109,6 @@ class Article(NamedTuple):
     sentences: list[Sentence]
 
 
-class _Record:
-    """Equality and repr over a subclass's `__slots__`, as a dataclass has them.
-
-    Pickles (protocol 2 and up) hold the slots' values and run no check.
-    """
-
-    __slots__ = ()
-    __hash__ = None  # mutable, as a dataclass with eq
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __repr__(self) -> str:
-        pairs = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._values()))
-        return f"{type(self).__name__}({pairs})"
-
-
 class Timeline(_Record):
     """An ordered list of (date, summary sentences) entries.
 
@@ -126,7 +116,7 @@ class Timeline(_Record):
     daily summaries are rejected.
     """
 
-    __slots__ = ("name", "entries")
+    _fields = __slots__ = ("name", "entries")
 
     def __init__(self, name: str, entries: list[tuple[Date, list[str]]]):
         self.name = name
@@ -161,7 +151,7 @@ class Timeline(_Record):
 
 
 class Topic(_Record):
-    __slots__ = ("name", "articles", "queries", "reference_timelines")
+    _fields = __slots__ = ("name", "articles", "queries", "reference_timelines")
 
     def __init__(
         self,
@@ -333,8 +323,6 @@ def _article_from_obj(obj: dict, where: str) -> Article:
             f"{where}: publish_date {publish_date.isoformat()} is outside "
             f"{EARLIEST_PUBLISH_DATE.isoformat()}..{LATEST_PUBLISH_DATE.isoformat()}"
         )
-    article_id = str(obj["id"])
-    sentences = []
     pretokenized = obj.get("pretokenized")
     if pretokenized is not None:
         if not (isinstance(pretokenized, list) and all(map(_is_str_list, pretokenized))):
@@ -344,12 +332,10 @@ def _article_from_obj(obj: dict, where: str) -> Article:
             # The raw text does not line up with the supplied token lists;
             # fall back to reconstructing raws from the tokens.
             raws = [" ".join(toks) for toks in pretokenized]
-        for index, toks in enumerate(pretokenized):
-            sentences.append(Sentence(article_id, index, raws[index], toks))
+        sentences = list(map(Sentence, raws, pretokenized))
     else:
-        for index, raw in enumerate(sentence_split(obj["text"])):
-            sentences.append(Sentence(article_id, index, raw))
-    return Article(article_id, publish_date, obj["title"], sentences)
+        sentences = list(map(Sentence, sentence_split(obj["text"])))
+    return Article(str(obj["id"]), publish_date, obj["title"], sentences)
 
 
 def timeline_from_obj(obj: dict, where: str, default_name: str | None = None) -> Timeline:
@@ -464,21 +450,16 @@ def filter_by_queries(topic: Topic) -> Topic:
 
     Off by default in the pipeline; how queries constrain the collection is
     deliberately left configurable.  Articles left without sentences are
-    dropped.  With no queries the topic is returned unchanged.  Kept
-    sentences keep their date mentions, which depend only on the raw text
-    and the publication date.
+    dropped.  With no queries the topic is returned unchanged.  The kept
+    sentences are the topic's own, with their date mentions, which depend
+    only on the raw text and the publication date.
     """
     if not topic.queries:
         return topic
     query_tokens = {tok for q in topic.queries for tok in tokenize(q)}
     articles = []
     for article in topic.articles:
-        kept = [
-            Sentence(s.article_id, new_index, s.raw, list(s.tokens), list(s.mentions))
-            for new_index, s in enumerate(
-                s for s in article.sentences if query_tokens.intersection(s.tokens)
-            )
-        ]
+        kept = [s for s in article.sentences if query_tokens.intersection(s.tokens)]
         if kept:
             articles.append(
                 Article(article.id, article.publish_date, article.title, kept)

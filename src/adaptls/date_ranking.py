@@ -79,7 +79,9 @@ class Regressor:
     l2_lambda: float
 
     def predict(self, features: np.ndarray) -> np.ndarray:
-        return features @ self.weights + self.bias
+        """One score per feature row; inf or NaN, with no warning, where it overflows."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return features @ self.weights + self.bias
 
     def to_json_obj(self) -> dict:
         return {

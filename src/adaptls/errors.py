@@ -55,3 +55,11 @@ class MissingPrediction(AdaptlsError):
 
 class UnknownTopic(AdaptlsError):
     """A topic name is not present in the dataset."""
+
+
+class NameClash(AdaptlsError):
+    """Two topics, or two outputs, of a dataset would be written to one file name."""
+
+
+class NonFiniteScore(AdaptlsError):
+    """A regressor gives a date an infinite or NaN score."""

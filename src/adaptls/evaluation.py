@@ -173,7 +173,7 @@ class PairResult(NamedTuple):
 
 
 class EvalReport(_Record):
-    __slots__ = ("pairs",)
+    _fields = __slots__ = ("pairs",)
 
     def __init__(self, pairs: list[PairResult] | None = None):
         self.pairs = [] if pairs is None else pairs

@@ -4,14 +4,17 @@ from __future__ import annotations
 
 import math
 from datetime import date as Date
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .config import SUMMARIZERS
 from .corpus import Timeline, Topic
 from .errors import EmptyTimeline
-from .event_ranking import EventCluster
 from .tfidf import Rows, Vectorizer
+
+if TYPE_CHECKING:
+    from .event_ranking import EventCluster
 
 REDUNDANCY_THRESHOLD = 0.8
 
@@ -107,29 +110,26 @@ def centroid_opt(rows: list[int], vec: Vectorizer, k: int) -> list[int]:
 
 def build_timeline(
     topic: Topic,
-    selected: list[tuple[Date, EventCluster | None]],
+    selected: list[tuple[Date, list[int]]],
     k: int,
     method: str,
     vec: Vectorizer,
-    name: str = "generated",
 ) -> Timeline:
-    """Summarize each selected date into a timeline entry of at most `k` sentences.
+    """Summarize each selected (date, candidate rows) into an entry of at most `k` sentences.
 
-    `method` is "rank" (centroid-rank) or "opt" (centroid-opt).  For event
-    selections the candidate pool is the cluster's own sentences plus
-    sentences elsewhere that mention the event date.  A selected date with
-    no candidate sentences raises EmptyTimeline: callers select only items
-    that can be summarized.
+    `method` is "rank" (centroid-rank) or "opt" (centroid-opt).  The rows
+    are the date's pool from `candidate_sentences`, built once with the
+    ranked item.  A date with an empty pool raises EmptyTimeline: callers
+    select only items that can be summarized.
     """
     if method not in SUMMARIZERS:
         raise ValueError(f"unknown summarizer method {method!r}")
     summarize = centroid_rank if method == "rank" else centroid_opt
     entries = []
-    for day, cluster in selected:
-        rows = candidate_sentences(vec, day, cluster)
+    for day, rows in selected:
         if not rows:
             raise EmptyTimeline(
                 f"selected date {day.isoformat()} of topic {topic.name!r} has no candidate sentences"
             )
         entries.append((day, [vec.sentences[row].raw for row in summarize(rows, vec, k)]))
-    return Timeline(name, entries)
+    return Timeline("generated", entries)

@@ -109,9 +109,9 @@ class Vectorizer:
     """A topic's one text representation, built once by `build_vectorizer`.
 
     Sentence-level TF-IDF with idf(t) = ln(1 + n/(1 + df)) over the topic's
-    n sentences.  Row r of `rows` is `sentences[r]`; rows run in (article
-    id, sentence index) order and are listed by their article's publish
-    date, by every date they mention and by article id.
+    n sentences.  Row r of `rows` is `sentences[r]`; rows run by article
+    id, then by sentence position in the article, and are listed by their
+    article's publish date, by every date they mention and by article id.
     """
 
     vocabulary: dict[str, int]

@@ -58,10 +58,7 @@ def make_planted_topic(
                     article_id,
                     day,
                     f"Major development {counter}",
-                    [
-                        Sentence(article_id, i, raw, tokenize(raw))
-                        for i, raw in enumerate(raws)
-                    ],
+                    [Sentence(raw, tokenize(raw)) for raw in raws],
                 )
             )
         timeline_entries.append((day, [articles[-1].sentences[0].raw]))
@@ -75,10 +72,7 @@ def make_planted_topic(
                 article_id,
                 day,
                 f"Minor note {counter}",
-                [
-                    Sentence(article_id, i, raw, tokenize(raw))
-                    for i, raw in enumerate(raws)
-                ],
+                [Sentence(raw, tokenize(raw)) for raw in raws],
             )
         )
     articles.sort(key=lambda a: (a.publish_date, a.id))

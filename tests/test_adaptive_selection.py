@@ -47,6 +47,18 @@ class TestNormalizeScores:
         with pytest.raises(EmptyInput):
             normalize_scores([])
 
+    def test_span_past_the_float_range(self):
+        # 1.7e308 - -1.7e308 overflows to inf, and inf / inf would be NaN
+        assert normalize_scores([1.7e308, 0.0, -1.7e308]) == [1.0, 0.5, 0.0]
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=50))
+    def test_finite_scores_stay_finite(self, scores):
+        lo, hi = min(scores), max(scores)
+        out = normalize_scores(scores)
+        assert all(0.0 <= v <= 1.0 for v in out)
+        if math.isfinite(hi - lo) and hi > lo:  # the plain formula, bytes unchanged
+            assert out == [(s - lo) / (hi - lo) for s in scores]
+
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=50))
     def test_output_in_unit_interval(self, scores):
         out = normalize_scores(scores)

@@ -1,8 +1,10 @@
 import csv
 import json
+import math
 import random
 import shutil
 import tempfile
+import warnings
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -645,6 +647,136 @@ class TestKneeCurve:
         assert main(argv) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "UnknownTopic"
+
+
+def _mini_with_regressors(mini_dir: Path, root: Path, regressor: str) -> Path:
+    """`root` with mini's dataset and `regressor` as the file of every topic."""
+    shutil.copytree(mini_dir, root / "dataset")
+    (root / "reg").mkdir()
+    for topic in ("alpha", "beta", "gamma"):
+        (root / "reg" / f"regressor_{topic}.json").write_text(regressor)
+    return root
+
+
+def _finite_json(text: str):
+    def reject(constant):
+        raise AssertionError(f"{constant} in JSON output")
+
+    return json.loads(text, parse_constant=reject)
+
+
+class TestNoNaN:
+    """No NaN reaches the knee, the manifest or the knee curve."""
+
+    def test_finite_scores_past_half_the_float_range(self, mini_dir, tmp_path, capsys):
+        # pos_first - pos_last spans the whole float range: scores from -1.79e308 to 1.79e308
+        regressor = '{"weights": [0, 0, 0, 0, 0, 0, 0, 1.79e308, -1.79e308], "bias": 0, "lambda": 1}'
+        root = _mini_with_regressors(mini_dir, tmp_path, regressor)
+        config = ["--dataset-dir", str(root / "dataset"), "--regressors", str(root / "reg")]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", "--output-dir", str(root / "out"), *config]) == 0
+            curve = root / "curve.csv"
+            assert main(["knee-curve", "--topic", "alpha", "--out", str(curve), *config]) == 0
+        assert caught == [] and capsys.readouterr().err == ""
+        manifest = _finite_json((root / "out" / "manifest.json").read_text())
+        assert all(math.isfinite(entry["knee"]["difference"]) for entry in manifest["outputs"])
+        with curve.open() as handle:
+            assert all(math.isfinite(float(row["sc"])) for row in csv.DictReader(handle))
+
+    @pytest.mark.parametrize("command", ["run", "knee-curve"])
+    def test_overflowing_scores_rejected(self, mini_dir, tmp_path, capsys, command):
+        regressor = json.dumps({"weights": [1e308] * 9, "bias": 0, "lambda": 1})
+        root = _mini_with_regressors(mini_dir, tmp_path, regressor)
+        argv = [command, "--dataset-dir", str(root / "dataset"), "--regressors", str(root / "reg")]
+        if command == "run":
+            argv += ["--output-dir", str(root / "out")]
+        else:
+            argv += ["--topic", "alpha", "--out", str(root / "c.csv")]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 1
+        assert caught == []
+        err = _one_json_error(capsys)
+        assert err["error"] == "NonFiniteScore"
+        assert "regressor_alpha.json" in err["message"] and "'alpha'" in err["message"]
+        assert not (root / "out" / "manifest.json").exists() and not (root / "c.csv").exists()
+
+
+def _rename(path: Path, *names: str) -> None:
+    """Give the reference timelines in `path` the `names`, in order."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    objs = [dict(json.loads(line), name=name) for line, name in zip(lines, names, strict=True)]
+    path.write_text("".join(json.dumps(obj) + "\n" for obj in objs), encoding="utf-8")
+
+
+class TestNameClash:
+    """Two names that `_safe_name` maps to one file are rejected before anything is written."""
+
+    @pytest.mark.parametrize("names", [("ref 1", "ref_1"), ("ref1", "ref1")])
+    def test_references_of_a_topic(self, mini_dir, tmp_path, capsys, names):
+        shutil.copytree(mini_dir, tmp_path / "ds")
+        _rename(tmp_path / "ds" / "gamma" / "timelines.jsonl", *names)
+        out = tmp_path / "out"
+        for argv in (
+            ["run", "--dataset-dir", str(tmp_path / "ds"), "--output-dir", str(out)]
+            + ["--method", "adprm-e", "--constraint", "base"],
+            ["eval", "--pred", str(mini_dir), "--dataset", str(tmp_path / "ds")],
+            ["train", str(tmp_path / "ds"), "--out", str(out)],
+        ):
+            assert main(argv) == 1
+            err = _one_json_error(capsys)
+            assert err["error"] == "NameClash"
+            assert all(repr(name) in err["message"] for name in names)
+            assert not out.exists()
+
+    def test_topics(self, mini_dir, tmp_path, capsys):
+        shutil.copytree(mini_dir / "beta", tmp_path / "ds" / "a b")
+        shutil.copytree(mini_dir / "gamma", tmp_path / "ds" / "a_b")
+        out = tmp_path / "out"
+        for argv in (
+            ["train", str(tmp_path / "ds"), "--out", str(out)],
+            ["run", "--dataset-dir", str(tmp_path / "ds"), "--output-dir", str(out), "--method", "adprm-e"],
+            ["eval", "--pred", str(mini_dir), "--dataset", str(tmp_path / "ds")],
+        ):
+            assert main(argv) == 1
+            err = _one_json_error(capsys)
+            assert err["error"] == "NameClash"
+            assert "'a b'" in err["message"] and "'a_b'" in err["message"]
+            assert not out.exists()
+
+
+class TestPoolsBuiltOnce:
+    """Each ranked item's pool of candidate sentences is built once, in
+    `_score_items`, and handed to `build_timeline` with the item."""
+
+    @pytest.mark.parametrize("method", ["adprm-d", "adprm-e"])
+    def test_one_pool_per_ranked_item(self, mini_dir, tmp_path, monkeypatch, method):
+        from adaptls import cli, date_ranking, event_ranking, summarizer
+
+        ranked, pools, in_build = [], [], []
+
+        def recording(fn, calls, size=len):
+            def wrapper(*args, **kwargs):
+                result = fn(*args, **kwargs)
+                calls.append(size(result))
+                return result
+
+            return wrapper
+
+        assert main(["train", str(mini_dir), "--out", str(tmp_path / "reg")]) == 0
+        monkeypatch.setattr(date_ranking, "score_dates", recording(date_ranking.score_dates, ranked))
+        detect = recording(event_ranking.detect_events, ranked, lambda result: len(result[0]))
+        monkeypatch.setattr(event_ranking, "detect_events", detect)
+        # cli binds its own name first, so the summarizer's module name sees only build_timeline's calls
+        monkeypatch.setattr(cli, "candidate_sentences", recording(cli.candidate_sentences, pools))
+        pools_in_build = recording(summarizer.candidate_sentences, in_build)
+        monkeypatch.setattr(summarizer, "candidate_sentences", pools_in_build)
+        argv = ["run", "--dataset-dir", str(mini_dir), "--output-dir", str(tmp_path / "out")]
+        assert main(argv + ["--method", method, "--regressors", str(tmp_path / "reg")]) == 0
+        assert len(ranked) == 3 and sum(ranked) > 3
+        assert in_build == []
+        assert len(pools) == sum(ranked)
 
 
 _CONFIG_VALUES = st.one_of(

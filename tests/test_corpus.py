@@ -93,10 +93,7 @@ def _topic_from_texts(texts, name="t"):
     articles = []
     for i, text in enumerate(texts):
         aid = f"a{i}"
-        sentences = [
-            Sentence(aid, j, raw, tokenize(raw))
-            for j, raw in enumerate(sentence_split(text))
-        ]
+        sentences = [Sentence(raw, tokenize(raw)) for raw in sentence_split(text)]
         articles.append(Article(aid, date(2020, 1, 1 + i), f"title {i}", sentences))
     return Topic(name, articles)
 
@@ -160,11 +157,8 @@ class TestVectorizer:
     def test_sentence_rows_match_reference_vectors(self, mini_dataset):
         for topic in mini_dataset:
             vec = build_vectorizer(topic)
-            assert [(s.article_id, s.index) for s in vec.sentences] == [
-                (s.article_id, s.index)
-                for a in sorted(topic.articles, key=lambda a: a.id)
-                for s in a.sentences
-            ]
+            expected = [s for a in sorted(topic.articles, key=lambda a: a.id) for s in a.sentences]
+            assert list(map(id, vec.sentences)) == list(map(id, expected))
             for r, sentence in enumerate(vec.sentences):
                 expected = tfidf_oracle.vectorize(vec, sentence.tokens)
                 span = slice(vec.rows.indptr[r], vec.rows.indptr[r + 1])
@@ -296,13 +290,13 @@ class TestLoadTopic:
 
     def test_tokens_read_or_not_are_the_same_sentence(self):
         for supplied in (None, ["地震", "发生"]):
-            read, unread = (Sentence("a1", 0, "地震发生。", supplied) for _ in range(2))
+            read, unread = (Sentence("地震发生。", supplied) for _ in range(2))
             assert read.tokens == (supplied or ["地", "震", "发", "生"])
             assert pickle.dumps(read) == pickle.dumps(unread)
             assert repr(read) == repr(unread) and read == unread
             copy = pickle.loads(pickle.dumps(read))
             assert copy == read and repr(copy) == repr(read)
-        assert Sentence("a1", 0, "地震发生。") != Sentence("a1", 0, "地震发生。", ["地震", "发生"])
+        assert Sentence("地震发生。") != Sentence("地震发生。", ["地震", "发生"])
 
     def test_train_and_stats_never_tokenize(self, mini_dir, tmp_path, monkeypatch):
         calls = []
@@ -441,7 +435,7 @@ class TestQueryFilter:
         from adaptls.corpus import Article
 
         raws = ["Rain fell on 2021-03-01.", "A flood hit yesterday.", "Crews said flood waters rose March 2."]
-        article = Article("a", date(2021, 3, 5), "t", [Sentence("a", i, r, tokenize(r)) for i, r in enumerate(raws)])
+        article = Article("a", date(2021, 3, 5), "t", [Sentence(r, tokenize(r)) for r in raws])
         topic = annotate_topic(Topic("t", [article], queries=["flood"]))
         filtered = filter_by_queries(topic)
         kept = filtered.sentences()

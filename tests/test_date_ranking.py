@@ -24,7 +24,7 @@ def _topic(article_specs, timelines=()):
     articles = []
     for i, (pub, raws) in enumerate(article_specs):
         aid = f"a{i}"
-        sentences = [Sentence(aid, j, raw, tokenize(raw)) for j, raw in enumerate(raws)]
+        sentences = [Sentence(raw, tokenize(raw)) for raw in raws]
         articles.append(Article(aid, pub, f"title {i}", sentences))
     return annotate_topic(Topic("t", articles, [], list(timelines)))
 
@@ -119,10 +119,10 @@ def _layouts(draw):
         aid = f"a{i}"
         pub = start if one_day else start + timedelta(days=draw(_DAYS))
         sentences = []
-        for j in range(draw(st.integers(0, 3))):
+        for _ in range(draw(st.integers(0, 3))):
             days = [] if pub_only else draw(st.lists(_DAYS | st.integers(-12, -1), max_size=4))
             mentions = [DateMention(start + timedelta(days=d), (0, 1), "explicit") for d in days]
-            sentences.append(Sentence(aid, j, "s", ["s"], mentions))
+            sentences.append(Sentence("s", ["s"], mentions))
         articles.append(Article(aid, pub, aid, sentences))
     return Topic("t", articles)
 

@@ -449,7 +449,7 @@ class TestDatasetStats:
 
         def article(aid, pub, raws):
             return Article(
-                aid, pub, aid, [Sentence(aid, i, r, tokenize(r)) for i, r in enumerate(raws)]
+                aid, pub, aid, [Sentence(r, tokenize(r)) for r in raws]
             )
 
         topic = annotate_topic(
@@ -493,7 +493,7 @@ class TestDatasetStats:
         topic = annotate_topic(
             Topic(
                 "t",
-                [Article(aid, date(2020, 1, 1), aid, [Sentence(aid, 0, "One.", ["one"])])],
+                [Article(aid, date(2020, 1, 1), aid, [Sentence("One.", ["one"])])],
                 [],
                 [Timeline("ref", [(date(2020, 1, 1), ["One."])])],
             )

@@ -169,7 +169,7 @@ def _topic(article_specs):
     articles = []
     for i, (pub, title, raws) in enumerate(article_specs):
         aid = f"a{i}"
-        sentences = [Sentence(aid, j, raw, tokenize(raw)) for j, raw in enumerate(raws)]
+        sentences = [Sentence(raw, tokenize(raw)) for raw in raws]
         articles.append(Article(aid, pub, title, sentences))
     return annotate_topic(Topic("t", articles))
 
@@ -286,8 +286,8 @@ def dated_topics(draw):
             st.lists(st.lists(st.sampled_from(days), max_size=3), max_size=3)
         )
         sentences = [
-            Sentence(aid, j, "s", ["s"], [DateMention(d, (0, 1), "explicit") for d in ds])
-            for j, ds in enumerate(mention_days)
+            Sentence("s", ["s"], [DateMention(d, (0, 1), "explicit") for d in ds])
+            for ds in mention_days
         ]
         articles.append(Article(aid, DATING_START + timedelta(days=offset), "t", sentences))
     topic = Topic("t", articles)

@@ -22,6 +22,7 @@ def test_two_runs_give_equal_digests(mini_dir):
     assert _digests(mini_dir) == first
     expected = {"log/train.txt", "log/stats.txt", "regressors/regressor_alpha.json"}
     for method in ("adprm-d", "adprm-e", "clust", "datewise"):
-        expected |= {f"log/run-{method}.txt", f"log/eval-{method}.txt"}
+        expected |= {f"log/{command}-{method}.txt" for command in ("run", "eval", "knee")}
+        expected.add(f"knee/{method}.csv")
         expected |= {f"out/{method}/{name}" for name in ("manifest.json", "report.json", "alpha__ref.json")}
     assert expected <= first.keys()

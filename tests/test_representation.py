@@ -37,19 +37,20 @@ def topics(draw):
         aid = f"a{ids[i]}"
         day = START + timedelta(days=draw(st.integers(0, 2)))
         sentences = []
-        for j in range(draw(st.integers(1, 7))):
+        for _ in range(draw(st.integers(1, 7))):
             tokens = list(draw(st.sampled_from(pool)))
             mention = draw(st.none() | st.integers(0, 2))
             raw = " ".join(tokens)
             if mention is not None:
                 raw += f" on {(START + timedelta(days=mention)).isoformat()}"
-            sentences.append(Sentence(aid, j, raw, tokens))
+            sentences.append(Sentence(raw, tokens))
         articles.append(Article(aid, day, draw(st.sampled_from(["", "a b", "h"])), sentences))
     return annotate_topic(Topic("t", articles))
 
 
 def _keys(sentences):
-    return [(s.article_id, s.index) for s in sentences]
+    """Identity keys: the vectorizer's rows hold the topic's own sentence objects."""
+    return [id(s) for s in sentences]
 
 
 def _check_summarizers(rows, vec):
@@ -114,7 +115,7 @@ def _assert_bytes_equal(rows, expected):
 @example([[], []], [["a"], [], ["x", "y"]])  # a topic without tokens
 @example([["a", "b", "a"], []], [[], ["z"], ["x", "a", "x", "a"]])  # empty and all-unknown rows
 def test_rows_equal_counter_loop_exactly(token_lists, others):
-    sentences = [Sentence("a", i, " ".join(tokens), tokens) for i, tokens in enumerate(token_lists)]
+    sentences = [Sentence(" ".join(tokens), tokens) for tokens in token_lists]
     vec = build_vectorizer(Topic("t", [Article("a", START, "", sentences)]))
     vocabulary, idf = tfidf_oracle.counter_vocabulary(token_lists)
     assert vec.vocabulary == vocabulary

@@ -22,7 +22,7 @@ def _topic(article_specs, timelines=()):
     articles = []
     for i, (pub, raws) in enumerate(article_specs):
         aid = f"a{i}"
-        sentences = [Sentence(aid, j, raw, tokenize(raw)) for j, raw in enumerate(raws)]
+        sentences = [Sentence(raw, tokenize(raw)) for raw in raws]
         articles.append(Article(aid, pub, f"title {i}", sentences))
     return annotate_topic(Topic("t", articles, [], list(timelines)))
 
@@ -206,6 +206,11 @@ class TestCentroidOpt:
         assert len(centroid_opt(rows, vec, 2)) == 1
 
 
+def _pools(vec, *days, cluster=None):
+    """(date, candidate rows) selections, as `run` hands them to build_timeline."""
+    return [(day, candidate_sentences(vec, day, cluster)) for day in days]
+
+
 class TestBuildTimeline:
     def test_date_selection_rank(self):
         topic = _topic(
@@ -215,7 +220,7 @@ class TestBuildTimeline:
             ]
         )
         vec = build_vectorizer(topic)
-        selected = [(date(2020, 1, 1), None), (date(2020, 1, 2), None)]
+        selected = _pools(vec, date(2020, 1, 1), date(2020, 1, 2))
         timeline = build_timeline(topic, selected, 1, "rank", vec)
         assert [d for d, _ in timeline.entries] == [date(2020, 1, 1), date(2020, 1, 2)]
         assert all(len(summary) == 1 for _, summary in timeline.entries)
@@ -223,7 +228,7 @@ class TestBuildTimeline:
     def test_unsummarizable_date_raises(self):
         topic = _topic([(date(2020, 1, 1), ["Only day."])])
         vec = build_vectorizer(topic)
-        selected = [(date(2020, 1, 1), None), (date(2021, 5, 5), None)]
+        selected = _pools(vec, date(2020, 1, 1), date(2021, 5, 5))
         with pytest.raises(EmptyTimeline, match="2021-05-05"):
             build_timeline(topic, selected, 1, "rank", vec)
 
@@ -231,13 +236,13 @@ class TestBuildTimeline:
         topic = _topic([(date(2020, 1, 1), ["Only day."])])
         vec = build_vectorizer(topic)
         with pytest.raises(EmptyTimeline):
-            build_timeline(topic, [(date(2021, 5, 5), None)], 1, "rank", vec)
+            build_timeline(topic, _pools(vec, date(2021, 5, 5)), 1, "rank", vec)
 
     def test_unknown_method_rejected(self):
         topic = _topic([(date(2020, 1, 1), ["Only day."])])
         vec = build_vectorizer(topic)
         with pytest.raises(ValueError):
-            build_timeline(topic, [(date(2020, 1, 1), None)], 1, "best", vec)
+            build_timeline(topic, _pools(vec, date(2020, 1, 1)), 1, "best", vec)
 
     def test_event_cluster_restricts_pool(self):
         topic = _topic(
@@ -248,13 +253,7 @@ class TestBuildTimeline:
         )
         vec = build_vectorizer(topic)
         cluster = EventCluster(frozenset({"a0"}), date(2020, 1, 1), 0)
-        timeline = build_timeline(
-            topic,
-            [(date(2020, 1, 1), cluster)],
-            5,
-            "rank",
-            vec,
-        )
+        timeline = build_timeline(topic, _pools(vec, date(2020, 1, 1), cluster=cluster), 5, "rank", vec)
         assert timeline.entries[0][1] == ["Cluster story one."]
 
     def test_event_cluster_outside_mentions_included_by_default(self):
@@ -266,9 +265,7 @@ class TestBuildTimeline:
         )
         vec = build_vectorizer(topic)
         cluster = EventCluster(frozenset({"a0"}), date(2020, 1, 1), 0)
-        timeline = build_timeline(
-            topic, [(date(2020, 1, 1), cluster)], 5, "rank", vec
-        )
+        timeline = build_timeline(topic, _pools(vec, date(2020, 1, 1), cluster=cluster), 5, "rank", vec)
         assert set(timeline.entries[0][1]) == {
             "Cluster story one.",
             "Looking back at 2020-01-01 events.",
@@ -283,7 +280,7 @@ class TestBuildTimeline:
             ]
         )
         vec = build_vectorizer(topic)
-        selected = [(date(2020, 1, d), None) for d in (1, 2, 3)]
+        selected = _pools(vec, *(date(2020, 1, d) for d in (1, 2, 3)))
         timeline = build_timeline(topic, selected, 2, "opt", vec)
         assert timeline.length <= 3
         assert timeline.total_sentences <= 3 * 2
@@ -296,7 +293,7 @@ class TestBuildTimeline:
             ]
         )
         vec = build_vectorizer(topic)
-        selected = [(date(2020, 1, 1), None), (date(2020, 1, 2), None)]
+        selected = _pools(vec, date(2020, 1, 1), date(2020, 1, 2))
         first = build_timeline(topic, selected, 2, "rank", vec)
         second = build_timeline(topic, selected, 2, "rank", vec)
         assert first == second

@@ -137,7 +137,7 @@ def _make_topic(article_specs):
     articles = []
     for i, (pub, raws) in enumerate(article_specs):
         aid = f"a{i}"
-        sentences = [Sentence(aid, j, raw, tokenize(raw)) for j, raw in enumerate(raws)]
+        sentences = [Sentence(raw, tokenize(raw)) for raw in raws]
         articles.append(Article(aid, pub, f"title {i}", sentences))
     return annotate_topic(Topic("t", articles))
 
