@@ -13,16 +13,17 @@ default):
 
 - `train`;
 - `run` under `adprm-d`, `adprm-e`, `clust --constraint base` and
-  `datewise --constraint base --summarizer opt`, each followed by `eval`
-  and by `knee-curve` on the dataset's first topic in sorted order;
+  `datewise --constraint base --summarizer opt`, each followed by `eval`;
+  the two adaptive runs are also followed by `knee-curve` on the dataset's
+  first topic in sorted order (the base constraint has no knee);
 - `stats --json`.
 
 Each output line is `<sha256>  <DATASET>/<file>`, over every file written,
 in path order.  `manifest.json` is hashed without its `*_dir` lines.  Each
 command also gets a line for `log/<command>.txt`: its exit code, standard
-output and standard error; a command that fails is also named on standard
-error.  Two source trees write byte-identical outputs when their lines are
-equal:
+output and standard error.  A command that fails is also named on standard
+error, and the script then exits 1 once every line is printed.  Two source
+trees write byte-identical outputs when their lines are equal:
 
     python3 scripts/output_digests.py tests/data/mini planted dates-raw:1 > new.txt
     python3 scripts/output_digests.py --src OLD/src tests/data/mini planted dates-raw:1 > old.txt
@@ -49,6 +50,7 @@ RUNS = {
     "clust": ["--method", "clust", "--constraint", "base"],
     "datewise": ["--method", "datewise", "--constraint", "base", "--summarizer", "opt"],
 }
+CURVES = ("adprm-d", "adprm-e")  # the runs with a knee
 
 _DIR_LINE_RE = re.compile(rb'^\s*"\w+_dir": .*\n', re.MULTILINE)
 
@@ -88,19 +90,22 @@ def _commands(first_topic: str) -> list[tuple[str, list[str]]]:
         config = ["--dataset-dir", "dataset", "--regressors", "regressors", *flags]
         commands.append((f"run-{name}", ["run", "--output-dir", out, *config]))
         commands.append((f"eval-{name}", ["eval", "--pred", out, "--dataset", "dataset"]))
-        knee = ["knee-curve", "--topic", first_topic, "--out", f"knee/{name}.csv", *config]
-        commands.append((f"knee-{name}", knee))
+        if name in CURVES:
+            knee = ["knee-curve", "--topic", first_topic, "--out", f"knee/{name}.csv", *config]
+            commands.append((f"knee-{name}", knee))
     commands.append(("stats", ["stats", "dataset", "--json"]))
     return commands
 
 
-def digests(dataset: str, src: Path) -> list[str]:
-    """`<sha256>  <dataset>/<file>` lines for every output of `dataset`."""
+def digests(dataset: str, src: Path) -> tuple[list[str], bool]:
+    """`<sha256>  <dataset>/<file>` lines for every output of `dataset`, and
+    whether every command exited 0."""
     env = dict(os.environ, PYTHONPATH=str(src))
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         _build(dataset, work / "dataset")
         (work / "log").mkdir()
+        ok = True
         topics = (path.parent.name for path in (work / "dataset").glob("*/articles.jsonl"))
         for name, argv in _commands(min(topics)):
             result = subprocess.run(
@@ -113,6 +118,7 @@ def digests(dataset: str, src: Path) -> list[str]:
             (work / "log" / f"{name}.txt").write_bytes(log)
             if result.returncode:
                 print(f"{dataset}: {name} exited {result.returncode}", file=sys.stderr)
+                ok = False
         lines = []
         for path in sorted(work.rglob("*")):
             if not path.is_file() or path.parts[len(work.parts)] == "dataset":
@@ -122,7 +128,7 @@ def digests(dataset: str, src: Path) -> list[str]:
                 data = _DIR_LINE_RE.sub(b"", data)
             relative = path.relative_to(work).as_posix()
             lines.append(f"{hashlib.sha256(data).hexdigest()}  {dataset}/{relative}")
-    return lines
+    return lines, ok
 
 
 def main(argv=None) -> int:
@@ -130,10 +136,13 @@ def main(argv=None) -> int:
     parser.add_argument("datasets", nargs="+", metavar="DATASET")
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="the adaptls sources to run")
     args = parser.parse_args(argv)
+    failed = False
     for dataset in args.datasets:
-        for line in digests(dataset, args.src.resolve()):
+        lines, ok = digests(dataset, args.src.resolve())
+        for line in lines:
             print(line, flush=True)
-    return 0
+        failed |= not ok
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

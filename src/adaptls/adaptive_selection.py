@@ -9,20 +9,18 @@ with the Kneedle procedure on the normalized difference curve.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .config import DEFAULT_ALPHA, DEFAULT_SENSITIVITY
 from .errors import EmptyInput, TooFewPoints
 
 
-@dataclass(frozen=True)
-class ScoreCurve:
+class ScoreCurve(NamedTuple):
     points: list[tuple[int, float]]  # (c, sc), c strictly increasing from 1
     alpha: float
 
 
-@dataclass(frozen=True)
-class KneePoint:
+class KneePoint(NamedTuple):
     c_star: int
     difference: float
     fallback_used: bool

@@ -17,6 +17,7 @@ import sys
 from pathlib import Path
 
 from .config import (
+    ADAPTIVE_METHODS,
     CONSTRAINTS,
     DATE_METHODS,
     DEFAULT_LAMBDA,
@@ -42,11 +43,10 @@ from .errors import (
 )
 
 # Names bound on first use, each to (module, attribute or None for the module
-# itself).  They load numpy, multiprocessing, `dataclasses` or the date
-# patterns, none of which `eval` needs, or the evaluation metrics, which
-# `train` and `run` do not need.  Each stays an attribute of this module
-# that a caller may replace (bench/tracing.py does), and `_bind` never
-# overwrites one.
+# itself).  They load numpy, multiprocessing or the date patterns, none of
+# which `eval` needs, or the evaluation metrics, which `train` and `run` do
+# not need.  Each stays an attribute of this module that a caller may
+# replace (bench/tracing.py does), and `_bind` never overwrites one.
 _LAZY = {
     "adaptive_selection": (".adaptive_selection", None),
     "date_ranking": (".date_ranking", None),
@@ -56,7 +56,6 @@ _LAZY = {
     "expert_k": (".summarizer", "expert_k"),
     "build_vectorizer": (".tfidf", "build_vectorizer"),
     "annotate_topic": (".temporal", "annotate_topic"),
-    "asdict": ("dataclasses", "asdict"),
     "evaluation": (".evaluation", None),
     "ProcessPoolExecutor": ("concurrent.futures.process", "ProcessPoolExecutor"),
 }
@@ -85,7 +84,7 @@ def _bind(names) -> None:
 def _load_config(args) -> RunConfig:
     """The --config file (or the defaults) overridden by the given flags, checked."""
     config = read_config(args.config) if args.config else RunConfig()
-    flags = {name: getattr(args, name) for name in FIELD_NAMES if getattr(args, name) is not None}
+    flags = {name: value for name, value in vars(args).items() if name in FIELD_NAMES and value is not None}
     config = config._replace(**flags)
     config.validate()
     return config
@@ -188,10 +187,10 @@ def _choose_length(items, config: RunConfig):
 def _run_topic(topic: Topic, config: RunConfig):
     """(manifest entry, timeline) per reference timeline of the topic.
 
-    The adaptive constraint builds one timeline of the knee's length l, with
-    k = 1 or the expert k of all the topic's references.  The base
-    constraint builds one per reference, with that reference's length and
-    expert k.  A topic with fewer summarizable dates than l gets a shorter
+    The adaptive constraint asks for the knee's length l, with k = 1 or the
+    expert k of all the topic's references; the base constraint asks for
+    each reference's length and expert k.  Each distinct (l, k) is built
+    once.  A topic with fewer summarizable dates than l gets a shorter
     timeline, so each output's `l` is the number of entries written.
     """
     _bind(_PIPELINE)  # also in a worker of a spawn or forkserver pool
@@ -202,16 +201,17 @@ def _run_topic(topic: Topic, config: RunConfig):
     adaptive = config.constraint == "adaptive"
     if adaptive:
         l, _, point = _choose_length(items, config)
-        knee = asdict(point)
+        knee = point._asdict()
         k = expert_k(topic.reference_timelines) if config.k_policy == "expert" else 1
 
     outputs = []
-    timeline = None
+    timelines = {}
     for reference in topic.reference_timelines:
         if not adaptive:
             l, k, knee = reference.length, expert_k([reference]), None
-        if timeline is None or not adaptive:
-            timeline = build_timeline(topic, _select_top(items, l), k, summarizer, vec)
+        if (l, k) not in timelines:
+            timelines[l, k] = build_timeline(topic, _select_top(items, l), k, summarizer, vec)
+        timeline = timelines[l, k]
         entry = {
             "file": _prediction_name(topic.name, reference.name),
             "topic": topic.name,
@@ -329,6 +329,8 @@ def cmd_stats(args) -> int:
 
 def cmd_knee_curve(args) -> int:
     config = _load_config(args)
+    if config.constraint != "adaptive":
+        raise ValueError(f"knee-curve needs the adaptive constraint; there is no knee under {config.constraint!r}")
     if not config.dataset_dir:
         raise ValueError("knee-curve needs --dataset-dir")
     dataset = load_dataset(config.dataset_dir)
@@ -373,29 +375,22 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(f"{self.prog}: {message}")
 
 
-def _add_run_flags(parser: argparse.ArgumentParser) -> None:
+def _add_pipeline_flags(parser: argparse.ArgumentParser, methods) -> None:
+    """The 14 flags that `run` and `knee-curve` both read."""
     parser.add_argument("--config", help="JSON config file; flags override it")
-    parser.add_argument("--dataset-dir", dest="dataset_dir")
-    parser.add_argument("--output-dir", dest="output_dir")
-    parser.add_argument("--method", choices=METHODS, dest="method")
-    parser.add_argument("--constraint", choices=CONSTRAINTS, dest="constraint")
-    parser.add_argument("--k-policy", choices=K_POLICIES, dest="k_policy")
-    parser.add_argument("--summarizer", choices=SUMMARIZERS, dest="summarizer")
+    parser.add_argument("--dataset-dir")
+    parser.add_argument("--method", choices=methods)
     parser.add_argument("--regressors", dest="regressors_dir")
-    parser.add_argument("--alpha", type=float, dest="alpha")
-    parser.add_argument("--sensitivity", type=float, dest="sensitivity")
-    parser.add_argument("--c-max", type=int, dest="c_max")
-    parser.add_argument("--graph-threshold", type=float, dest="graph_threshold")
-    parser.add_argument("--mcl-expansion", type=int, dest="mcl_expansion")
-    parser.add_argument("--mcl-inflation", type=float, dest="mcl_inflation")
-    parser.add_argument("--mcl-max-iter", type=int, dest="mcl_max_iter")
-    parser.add_argument("--mcl-eps", type=float, dest="mcl_eps")
-    parser.add_argument("--mcl-prune", type=float, dest="mcl_prune")
-    parser.add_argument(
-        "--use-query-filter", action="store_const", const=True,
-        dest="use_query_filter",
-    )
-    parser.add_argument("--jobs", type=int, dest="jobs")
+    parser.add_argument("--alpha", type=float)
+    parser.add_argument("--sensitivity", type=float)
+    parser.add_argument("--c-max", type=int)
+    parser.add_argument("--graph-threshold", type=float)
+    parser.add_argument("--mcl-expansion", type=int)
+    parser.add_argument("--mcl-inflation", type=float)
+    parser.add_argument("--mcl-max-iter", type=int)
+    parser.add_argument("--mcl-eps", type=float)
+    parser.add_argument("--mcl-prune", type=float)
+    parser.add_argument("--use-query-filter", action="store_const", const=True)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -414,7 +409,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.set_defaults(func=cmd_train)
 
     p_run = sub.add_parser("run", help="generate timelines")
-    _add_run_flags(p_run)
+    _add_pipeline_flags(p_run, METHODS)
+    p_run.add_argument("--output-dir")
+    p_run.add_argument("--constraint", choices=CONSTRAINTS)
+    p_run.add_argument("--k-policy", choices=K_POLICIES)
+    p_run.add_argument("--summarizer", choices=SUMMARIZERS)
+    p_run.add_argument("--jobs", type=int)
     p_run.set_defaults(func=cmd_run)
 
     p_eval = sub.add_parser("eval", help="evaluate generated timelines")
@@ -432,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_knee = sub.add_parser(
         "knee-curve", help="dump the selection-confidence curve for one topic"
     )
-    _add_run_flags(p_knee)
+    _add_pipeline_flags(p_knee, ADAPTIVE_METHODS)
     p_knee.add_argument("--topic", required=True)
     p_knee.add_argument("--out", required=True)
     p_knee.set_defaults(func=cmd_knee_curve)

@@ -1,6 +1,6 @@
 """Run options: their allowed values, their defaults and their one check.
 
-`RunConfig` holds every option of `adaptls run` and `knee-curve`;
+`RunConfig` holds every option of `adaptls run`, and `knee-curve` reads it too;
 `RunConfig.validate` checks each field's type and range, and `read_config`
 reads a ``--config`` file.  The ranges come from the methods: Kneedle needs
 a sensitivity >= 0, and MCL an inflation > 1 and an expansion power >= 2.
@@ -21,6 +21,7 @@ DATE_METHODS = ("datewise", "adprm-d")
 EVENT_METHODS = ("clust", "adprm-e")
 METHODS = DATE_METHODS + EVENT_METHODS
 BASELINE_METHODS = ("datewise", "clust")  # fixed-constraint baselines
+ADAPTIVE_METHODS = ("adprm-d", "adprm-e")  # the methods with a knee
 CONSTRAINTS = ("base", "adaptive")
 K_POLICIES = ("expert", "one")
 SUMMARIZERS = ("rank", "opt")

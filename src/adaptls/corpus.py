@@ -330,7 +330,9 @@ def _article_from_obj(obj: dict, where: str) -> Article:
         raws = sentence_split(obj["text"])
         if len(raws) != len(pretokenized):
             # The raw text does not line up with the supplied token lists;
-            # fall back to reconstructing raws from the tokens.
+            # fall back to reconstructing raws from the tokens, and drop
+            # each token list whose raw would be blank.
+            pretokenized = [toks for toks in pretokenized if " ".join(toks).strip()]
             raws = [" ".join(toks) for toks in pretokenized]
         sentences = list(map(Sentence, raws, pretokenized))
     else:

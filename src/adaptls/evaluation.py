@@ -72,18 +72,6 @@ def _f1(overlap: int, pred_total: int, ref_total: int) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
-def rouge_n(pred_tokens: list[str], ref_tokens: list[str], n: int) -> PRF:
-    """Clipped n-gram overlap precision/recall/F1 (n = 1 or 2)."""
-    if n not in (1, 2):
-        raise ValueError("n must be 1 or 2")
-    pred_total = len(pred_tokens) - n + 1
-    ref_total = len(ref_tokens) - n + 1
-    if pred_total <= 0 or ref_total <= 0:
-        return _ZERO
-    overlap = _overlap(_ngrams(pred_tokens, n), _ngrams(ref_tokens, n))
-    return PRF.from_pr(overlap / pred_total, overlap / ref_total)
-
-
 def entry_tokens(timeline: Timeline) -> dict[Date, list[str]]:
     """Each entry's summary tokens, in date order."""
     return {

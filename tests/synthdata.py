@@ -4,7 +4,11 @@ Each planted date gets several articles published on the day whose sentences
 repeatedly mention it, so a trained date regressor scores it far above the
 thin single-article noise dates.  The reference timeline lists exactly the
 planted dates, which makes the expected outcome of an end-to-end run known
-by construction.  `save_topic` writes a topic out as a dataset directory.
+by construction.  By default every sentence draws from one vocabulary, so
+the event methods see one event per topic; with `disjoint=True` each planted
+date's sentences draw from a 4-word slice of their own, so each planted date
+is an event of its own.  `save_topic` writes a topic out as a dataset
+directory.
 """
 
 import json
@@ -24,8 +28,8 @@ ARTICLES_PER_PLANTED = 4
 SENTENCES_PER_PLANTED_ARTICLE = 5  # 4 * 5 = 20 on-date sentences per planted date
 
 
-def _sentence(rng: random.Random, mention: Date | None) -> str:
-    words = [rng.choice(_WORDS) for _ in range(6)]
+def _sentence(rng: random.Random, mention: Date | None, vocabulary=_WORDS) -> str:
+    words = [rng.choice(vocabulary) for _ in range(6)]
     text = " ".join(words).capitalize()
     if mention is not None:
         text += f" on {mention.isoformat()}"
@@ -38,19 +42,23 @@ def make_planted_topic(
     start: Date,
     planted_offsets: list[int],
     noise_offsets: list[int],
+    disjoint: bool = False,
 ) -> Topic:
+    """Planted date i draws from `_WORDS[4i:4i + 4]` if `disjoint`, else from
+    all of `_WORDS`; noise articles always draw from all of it."""
     rng = random.Random(seed)
     articles = []
     timeline_entries = []
     counter = 0
-    for offset in planted_offsets:
+    for i, offset in enumerate(planted_offsets):
         day = start + timedelta(days=offset)
+        vocabulary = _WORDS[4 * i : 4 * i + 4] if disjoint else _WORDS
         for a in range(ARTICLES_PER_PLANTED):
             raws = []
             for s in range(SENTENCES_PER_PLANTED_ARTICLE):
                 # Two sentences per article mention the date explicitly.
                 mention = day if s < 2 else None
-                raws.append(_sentence(rng, mention))
+                raws.append(_sentence(rng, mention, vocabulary))
             counter += 1
             article_id = f"{name}-p{counter:03d}"
             articles.append(
@@ -85,7 +93,7 @@ def make_planted_topic(
     return annotate_topic(topic)
 
 
-def planted_topics(n_topics: int = 3, seed: int = 7) -> list[Topic]:
+def planted_topics(n_topics: int = 3, seed: int = 7, disjoint: bool = False) -> list[Topic]:
     """A small dataset of planted-burst topics for leave-one-out training."""
     rng = random.Random(seed)
     topics = []
@@ -100,6 +108,7 @@ def planted_topics(n_topics: int = 3, seed: int = 7) -> list[Topic]:
                 start=Date(2022, 1, 1) + timedelta(days=90 * t),
                 planted_offsets=planted,
                 noise_offsets=noise,
+                disjoint=disjoint,
             )
         )
     return topics

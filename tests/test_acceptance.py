@@ -30,12 +30,12 @@ from adaptls.evaluation import (
     dataset_stats,
     date_f1,
     evaluate_pair,
-    rouge_n,
 )
 from adaptls.event_ranking import SimilarityGraph, markov_cluster
 
 import numpy as np
 
+import align_oracle
 from align_oracle import align_rouge_f1
 from synthdata import planted_topics, save_topic
 
@@ -147,25 +147,29 @@ def test_05_metric_oracles(capsys):
             break
 
     if passed:
+        # ROUGE-n: AR-n of two one-entry timelines on one date, where gamma
+        # is 1, is the entries' ROUGE-n F1; the oracle's rouge_n, which
+        # scores the alignment oracle's pairs, gives precision and recall.
         vocab = "abcdefg"
         for _ in range(500):
             n = rng.choice((1, 2))
             a = [rng.choice(vocab) for _ in range(rng.randint(0, 15))]
             b = [rng.choice(vocab) for _ in range(rng.randint(0, 15))]
-            got = rouge_n(a, b, n)
+            pair = evaluate_pair(Timeline("p", [(base, [" ".join(a)])]), Timeline("r", [(base, [" ".join(b)])]), "t")
+            got = pair.ar1 if n == 1 else pair.ar2
+            oracle = align_oracle.rouge_n(a, b, n)
             ga = Counter(tuple(a[i : i + n]) for i in range(len(a) - n + 1))
             gb = Counter(tuple(b[i : i + n]) for i in range(len(b) - n + 1))
             if not ga or not gb:
                 expect = PRF(0.0, 0.0, 0.0)
-                if got != expect:
+                if got != expect or oracle != expect:
                     passed = False
                     break
                 continue
             overlap = sum(min(c, gb[g]) for g, c in ga.items())
-            if (
-                got.precision != overlap / sum(ga.values())
-                or got.recall != overlap / sum(gb.values())
-            ):
+            p, r = overlap / sum(ga.values()), overlap / sum(gb.values())
+            f = 0.0 if p + r == 0 else 2 * p * r / (p + r)
+            if oracle.precision != p or oracle.recall != r or abs(got.f1 - f) > 1e-12:
                 passed = False
                 break
 

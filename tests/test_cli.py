@@ -339,6 +339,57 @@ class TestRunBase:
             ("r3", 3),
         ]
 
+    def test_one_event_per_planted_date(self, tmp_path):
+        """Where each planted date has words of its own, adprm-e finds every
+        planted date at the reference's length."""
+        for topic in planted_topics(disjoint=True):
+            save_topic(topic, tmp_path / "ds" / topic.name)
+        out = tmp_path / "out"
+        argv = ["run", "--dataset-dir", str(tmp_path / "ds"), "--output-dir", str(out)]
+        assert main(argv + ["--method", "adprm-e", "--constraint", "base"]) == 0
+        assert main(["eval", "--pred", str(out), "--dataset", str(tmp_path / "ds")]) == 0
+        pairs = json.loads((out / "report.json").read_text())["pairs"]
+        assert len(pairs) == 3 and all(pair["date_f1"]["f1"] == 1.0 for pair in pairs)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_each_distinct_l_and_k_built_once(self, mini_dir, tmp_path, monkeypatch, method):
+        """gamma's third reference asks for ref1's (l, k): its timeline is
+        ref1's, built once, and no other output changes."""
+        from adaptls import cli
+
+        root = tmp_path / "dataset"
+        shutil.copytree(mini_dir, root)
+        ref3 = {"name": "ref3", "entries": [
+            {"date": "2021-06-01", "summary": ["Storm at sea."]},
+            {"date": "2021-06-03", "summary": ["Landfall."]},
+        ]}
+        with (root / "gamma" / "timelines.jsonl").open("a") as handle:
+            handle.write(json.dumps(ref3) + "\n")
+        assert main(["train", str(mini_dir), "--out", str(tmp_path / "reg")]) == 0
+        built, build = [], cli.build_timeline
+
+        def counting(topic, *args):
+            built.append(topic.name)
+            return build(topic, *args)
+
+        monkeypatch.setattr(cli, "build_timeline", counting)
+        flags = ["--method", method, "--constraint", "base", "--regressors", str(tmp_path / "reg")]
+        outputs = {}
+        for name, dataset in (("plain", mini_dir), ("ref3", root)):
+            built.clear()
+            argv = ["run", "--dataset-dir", str(dataset), "--output-dir", str(tmp_path / name), *flags]
+            assert main(argv) == 0
+            assert built.count("gamma") == 2
+            outputs[name] = json.loads((tmp_path / name / "manifest.json").read_text())["outputs"]
+        *entries, last = outputs["ref3"]
+        assert entries == outputs["plain"]
+        ref1 = next(entry for entry in entries if entry["file"] == "gamma__ref1.json")
+        assert last == dict(ref1, file="gamma__ref3.json", reference="ref3")
+        read = lambda name, file: (tmp_path / name / file).read_bytes()  # noqa: E731
+        assert read("ref3", "gamma__ref3.json") == read("ref3", "gamma__ref1.json")
+        for entry in entries:
+            assert read("ref3", entry["file"]) == read("plain", entry["file"])
+
     def test_baseline_method_requires_base_constraint(self, planted_dir, tmp_path, capsys):
         argv = [
             "run",
@@ -647,6 +698,87 @@ class TestKneeCurve:
         assert main(argv) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "UnknownTopic"
+
+
+def _knee_argv(mini_dir: Path, out: Path, *extra) -> list[str]:
+    return ["knee-curve", "--dataset-dir", str(mini_dir), "--topic", "gamma", "--out", str(out), *extra]
+
+
+class TestKneeCurveFlags:
+    """`knee-curve` takes only the flags it reads, and draws only the
+    adaptive constraint's curve: under the base constraint there is no knee."""
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--output-dir", "out"), ("--constraint", "base"), ("--k-policy", "expert"), ("--summarizer", "opt"), ("--jobs", "2")],
+    )
+    def test_run_only_flag_rejected(self, mini_dir, tmp_path, capsys, flag, value):
+        out = tmp_path / "curve.csv"
+        assert main(_knee_argv(mini_dir, out, "--method", "adprm-e", flag, value)) == 1
+        err = _one_json_error(capsys)
+        assert err == {"error": "ValueError", "message": f"adaptls: unrecognized arguments: {flag} {value}"}
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["datewise", "clust"])
+    def test_baseline_method_rejected(self, mini_dir, tmp_path, capsys, method):
+        out = tmp_path / "curve.csv"
+        assert main(_knee_argv(mini_dir, out, "--method", method)) == 1
+        err = _one_json_error(capsys)
+        assert err["error"] == "ValueError"
+        assert err["message"].startswith(f"adaptls knee-curve: argument --method: invalid choice: '{method}'")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"method": "adprm-e", "constraint": "base"},
+            {"method": "clust", "constraint": "base"},
+            {"method": "datewise", "constraint": "base", "summarizer": "opt"},
+        ],
+        ids=["adprm-e", "clust", "datewise"],
+    )
+    def test_base_constraint_config_rejected(self, mini_dir, tmp_path, capsys, config):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "knee" / "curve.csv"
+        assert main(_knee_argv(mini_dir, out, "--config", str(path))) == 1
+        err = _one_json_error(capsys)
+        assert err["error"] == "ValueError" and "'base'" in err["message"]
+        assert not (tmp_path / "knee").exists()
+
+    def test_run_config_file_is_read(self, mini_dir, tmp_path):
+        """A run's config file is valid for knee-curve, which ignores the run-only keys."""
+        config = {"method": "adprm-e", "output_dir": "out", "constraint": "adaptive", "k_policy": "expert",
+                  "summarizer": "opt", "jobs": 2}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(_knee_argv(mini_dir, tmp_path / "config.csv", "--config", str(path))) == 0
+        assert main(_knee_argv(mini_dir, tmp_path / "flags.csv", "--method", "adprm-e")) == 0
+        assert (tmp_path / "config.csv").read_bytes() == (tmp_path / "flags.csv").read_bytes()
+
+
+class TestPretokenizedFallback:
+    def test_no_blank_summary_sentence(self, tmp_path, capsys):
+        """Token lists that do not line up with the text's sentences become
+        the raws; an empty list becomes no sentence, not a blank one."""
+        articles = [
+            dict(ARTICLE, id="a1", publish_date="2021-01-01", title="Storm", text="Storm hits the coast on 2021-01-01.",
+                 pretokenized=[["storm", "hits", "the", "coast", "on", "2021", "01", "01"], []]),
+            dict(ARTICLE, id="a2", publish_date="2021-01-02", title="Flood", text="Flood follows the storm. Rain again.",
+                 pretokenized=[["flood", "follows", "the", "storm"], ["rain", "again"]]),
+        ]
+        reference = {"name": "ref", "entries": [
+            {"date": "2021-01-01", "summary": ["Storm hits.", "Coast hit."]},
+            {"date": "2021-01-02", "summary": ["Flood follows.", "Rain again."]},
+        ]}
+        root = _write_topic(tmp_path / "ds", articles=articles, timelines=[reference])
+        assert main(_run_argv(tmp_path, root, "--method", "adprm-e", "--constraint", "base")) == 0
+        assert capsys.readouterr().err == ""
+        entries = json.loads((tmp_path / "out" / "t__ref.json").read_text())["entries"]
+        assert entries == [
+            {"date": "2021-01-01", "summary": ["storm hits the coast on 2021 01 01"]},
+            {"date": "2021-01-02", "summary": ["Flood follows the storm.", "Rain again."]},
+        ]
 
 
 def _mini_with_regressors(mini_dir: Path, root: Path, regressor: str) -> Path:

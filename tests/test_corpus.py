@@ -288,6 +288,19 @@ class TestLoadTopic:
         topic = load_topic(topic_dir)
         assert topic.articles[0].sentences[0].tokens == ["地震", "发生"]
 
+    def test_pretokenized_fallback_makes_no_blank_sentence(self, tmp_path):
+        """Token lists that do not line up with the text's sentences become
+        the raws, but none whose raw would be blank."""
+        topic_dir = tmp_path / "t"
+        topic_dir.mkdir()
+        pretokenized = [["storm", "hits"], [], [""], [" ", "　"], ["rain"]]
+        article = {"id": "a1", "publish_date": "2020-01-01", "title": "t", "text": "One sentence.",
+                   "pretokenized": pretokenized}
+        (topic_dir / "articles.jsonl").write_text(json.dumps(article) + "\n")
+        (topic_dir / "timelines.jsonl").write_text("")
+        sentences = load_topic(topic_dir).articles[0].sentences
+        assert [(s.raw, s.tokens) for s in sentences] == [("storm hits", ["storm", "hits"]), ("rain", ["rain"])]
+
     def test_tokens_read_or_not_are_the_same_sentence(self):
         for supplied in (None, ["地震", "发生"]):
             read, unread = (Sentence("地震发生。", supplied) for _ in range(2))

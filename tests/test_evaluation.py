@@ -16,7 +16,6 @@ from adaptls.evaluation import (
     date_f1,
     entry_tokens,
     evaluate_pair,
-    rouge_n,
 )
 
 import align_oracle
@@ -29,6 +28,15 @@ def _tl(entries, name="tl"):
 
 def _align(pred, ref):
     return align_dates(entry_tokens(pred), entry_tokens(ref))
+
+
+def _rouge(pred_tokens, ref_tokens, n):
+    """The program's ROUGE-n of two token lists: AR-n of two one-entry
+    timelines on one date, where gamma is 1, so its F1 is their ROUGE-n F1."""
+    day = date(2021, 1, 1)
+    pred, ref = (_tl([(day, [" ".join(tokens)])]) for tokens in (pred_tokens, ref_tokens))
+    result = evaluate_pair(pred, ref, "t")
+    return result.ar1 if n == 1 else result.ar2
 
 
 class TestDateF1:
@@ -72,34 +80,39 @@ class TestDateF1:
 
 
 class TestRougeN:
+    """ROUGE-n through `evaluate_pair`; precision and recall through
+    `align_oracle.rouge_n`, which the alignment oracle scores pairs with."""
+
     def test_identical_unigrams(self):
         toks = tokenize("the storm hit the coast")
-        assert rouge_n(toks, toks, 1).f1 == pytest.approx(1.0)
+        assert _rouge(toks, toks, 1).f1 == pytest.approx(1.0)
+        assert align_oracle.rouge_n(toks, toks, 1).f1 == pytest.approx(1.0)
 
     def test_no_overlap(self):
-        assert rouge_n(["a", "b"], ["c", "d"], 1) == PRF(0.0, 0.0, 0.0)
+        assert _rouge(["a", "b"], ["c", "d"], 1) == PRF(0.0, 0.0, 0.0)
+        assert align_oracle.rouge_n(["a", "b"], ["c", "d"], 1) == PRF(0.0, 0.0, 0.0)
 
     def test_hand_counted_bigrams(self):
         pred = ["a", "b", "c"]
         ref = ["a", "b", "d"]
-        got = rouge_n(pred, ref, 2)
         # bigrams: pred {ab, bc}, ref {ab, bd}; overlap 1
+        assert _rouge(pred, ref, 2).f1 == pytest.approx(0.5)
+        got = align_oracle.rouge_n(pred, ref, 2)
         assert got.precision == pytest.approx(0.5)
         assert got.recall == pytest.approx(0.5)
         assert got.f1 == pytest.approx(0.5)
 
     def test_clipping_of_repeats(self):
-        got = rouge_n(["a", "a", "a"], ["a"], 1)
+        assert _rouge(["a", "a", "a"], ["a"], 1).f1 == pytest.approx(0.5)
+        got = align_oracle.rouge_n(["a", "a", "a"], ["a"], 1)
         assert got.precision == pytest.approx(1 / 3)
         assert got.recall == pytest.approx(1.0)
 
     def test_empty_side_is_zero(self):
-        assert rouge_n([], ["a"], 1) == PRF(0.0, 0.0, 0.0)
-        assert rouge_n(["a"], [], 2) == PRF(0.0, 0.0, 0.0)
-
-    def test_invalid_n(self):
-        with pytest.raises(ValueError):
-            rouge_n(["a"], ["a"], 3)
+        assert _rouge([], ["a"], 1) == PRF(0.0, 0.0, 0.0)
+        assert _rouge(["a"], [], 2) == PRF(0.0, 0.0, 0.0)
+        assert align_oracle.rouge_n([], ["a"], 1) == PRF(0.0, 0.0, 0.0)
+        assert align_oracle.rouge_n(["a"], [], 2) == PRF(0.0, 0.0, 0.0)
 
     @given(
         st.lists(st.sampled_from("abcde"), min_size=0, max_size=12),
@@ -107,22 +120,26 @@ class TestRougeN:
         st.sampled_from([1, 2]),
     )
     def test_matches_counter_oracle(self, pred, ref, n):
-        got = rouge_n(pred, ref, n)
+        got = _rouge(pred, ref, n)
+        oracle = align_oracle.rouge_n(pred, ref, n)
         pred_grams = Counter(tuple(pred[i : i + n]) for i in range(len(pred) - n + 1))
         ref_grams = Counter(tuple(ref[i : i + n]) for i in range(len(ref) - n + 1))
         if not pred_grams or not ref_grams:
-            assert got == PRF(0.0, 0.0, 0.0)
+            assert got == oracle == PRF(0.0, 0.0, 0.0)
             return
         overlap = sum(min(c, ref_grams[g]) for g, c in pred_grams.items())
         p = overlap / sum(pred_grams.values())
         r = overlap / sum(ref_grams.values())
-        assert got.precision == pytest.approx(p)
-        assert got.recall == pytest.approx(r)
+        f = 0.0 if p + r == 0 else 2 * p * r / (p + r)
+        assert got.f1 == pytest.approx(f, rel=0, abs=1e-12)
+        assert oracle.precision == pytest.approx(p)
+        assert oracle.recall == pytest.approx(r)
 
     def test_symmetry_of_f1(self):
         a = tokenize("rain fell across the north")
         b = tokenize("heavy rain fell across town")
-        assert rouge_n(a, b, 1).f1 == pytest.approx(rouge_n(b, a, 1).f1)
+        assert _rouge(a, b, 1).f1 == pytest.approx(_rouge(b, a, 1).f1)
+        assert align_oracle.rouge_n(a, b, 1).f1 == pytest.approx(align_oracle.rouge_n(b, a, 1).f1)
 
 
 class TestAlignDates:

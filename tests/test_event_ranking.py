@@ -19,6 +19,7 @@ from adaptls.event_ranking import (
 from adaptls.temporal import DateMention, annotate_topic, candidate_dates
 from adaptls.tfidf import build_vectorizer
 import tfidf_oracle
+from synthdata import planted_topics
 
 
 def reference_mcl(adjacency, expansion=2, inflation=2.0, max_iter=100, eps=1e-6, prune=1e-5):
@@ -347,3 +348,12 @@ class TestPermutationInvariance:
         scored_p, _ = detect_events(permuted, threshold=0.1)
         id_clusters_p = {frozenset(c.article_ids) for c, _ in scored_p}
         assert id_clusters == id_clusters_p
+
+
+def test_one_event_per_planted_date():
+    """Where each planted date draws from words of its own, there is one
+    cluster per planted date, dated with it."""
+    for topic in planted_topics(disjoint=True):
+        scored, _ = detect_events(topic)
+        assert len(scored) == 5
+        assert sorted(cluster.event_date for cluster, _ in scored) == topic.reference_timelines[0].dates()
