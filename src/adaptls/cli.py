@@ -35,6 +35,7 @@ from .corpus import (
     filter_by_queries,
     load_dataset,
     load_references,
+    load_topic,
     read_json,
     timeline_from_obj,
 )
@@ -333,13 +334,12 @@ def cmd_knee_curve(args) -> int:
         raise ValueError(f"knee-curve needs the adaptive constraint; there is no knee under {config.constraint!r}")
     if not config.dataset_dir:
         raise ValueError("knee-curve needs --dataset-dir")
-    dataset = load_dataset(config.dataset_dir)
-    _check_names((t.name, t.reference_timelines) for t in dataset)
-    matches = [t for t in dataset if t.name == args.topic]
-    if not matches:
+    dataset = load_references(config.dataset_dir)
+    _check_names(dataset)
+    if args.topic not in {name for name, _ in dataset}:
         raise UnknownTopic(f"topic {args.topic!r} not in dataset")
     _bind(_PIPELINE + ("evaluation",))
-    topic = _prepare(matches[0], config)
+    topic = _prepare(load_topic(Path(config.dataset_dir) / args.topic), config)
     items = _score_items(topic, config, build_vectorizer(topic))
 
     l, curve, knee = _choose_length(items, config)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from datetime import date as Date, timedelta
 from itertools import repeat
 from pathlib import Path
@@ -74,9 +75,10 @@ class Sentence(_Record):
     """One sentence of an article: raw text, tokens and date mentions.
 
     `tokens` are the ones given (pretokenized input) or else `tokenize(raw)`,
-    computed on first read and kept.  Equality and repr see the tokens'
-    value, never whether they were computed yet; a pickle holds only given
-    tokens.
+    computed on first read and kept.  Computed tokens are interned, as the
+    loader interns pretokenized lists, so a dataset holds one string object
+    per distinct token.  Equality and repr see the tokens' value, never
+    whether they were computed yet; a pickle holds only given tokens.
     """
 
     __slots__ = ("raw", "mentions", "_given", "_tokens")
@@ -95,7 +97,8 @@ class Sentence(_Record):
     @property
     def tokens(self) -> list[str]:
         if self._tokens is None:
-            self._tokens = tokenize(self.raw)
+            self._tokens = tokens = tokenize(self.raw)
+            tokens[:] = map(sys.intern, tokens)  # in place: keeps the list's exact size
         return self._tokens
 
     def _args(self) -> tuple:
@@ -325,8 +328,14 @@ def _article_from_obj(obj: dict, where: str) -> Article:
         )
     pretokenized = obj.get("pretokenized")
     if pretokenized is not None:
-        if not (isinstance(pretokenized, list) and all(map(_is_str_list, pretokenized))):
-            raise ParseError(f"{where}: 'pretokenized' must be a list of lists of strings")
+        # Interned in place; sys.intern also rejects a token that is not a string.
+        try:
+            if not (isinstance(pretokenized, list) and all(map(isinstance, pretokenized, repeat(list)))):
+                raise TypeError
+            for toks in pretokenized:
+                toks[:] = map(sys.intern, toks)
+        except TypeError:
+            raise ParseError(f"{where}: 'pretokenized' must be a list of lists of strings") from None
         raws = sentence_split(obj["text"])
         if len(raws) != len(pretokenized):
             # The raw text does not line up with the supplied token lists;

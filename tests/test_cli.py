@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from adaptls import corpus
 from adaptls.cli import main
 from adaptls.config import CONSTRAINTS, FIELD_NAMES, K_POLICIES, METHODS, SUMMARIZERS
 from synthdata import planted_topics, save_topic
@@ -699,6 +700,21 @@ class TestKneeCurve:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "UnknownTopic"
 
+    def test_parses_only_its_topic(self, mini_dir, tmp_path, monkeypatch):
+        """The other topics' references are checked, but their articles are never parsed."""
+        parsed = []
+
+        def recording(obj, where):
+            parsed.append(where)
+            return article_from_obj(obj, where)
+
+        article_from_obj = corpus._article_from_obj
+        monkeypatch.setattr(corpus, "_article_from_obj", recording)
+        out = tmp_path / "curve.csv"
+        assert main(_knee_argv(mini_dir, out, "--method", "adprm-e")) == 0
+        lines = (mini_dir / "gamma" / "articles.jsonl").read_text(encoding="utf-8").splitlines()
+        assert parsed == [f"{mini_dir / 'gamma' / 'articles.jsonl'}:{i}" for i in range(1, len(lines) + 1)]
+
 
 def _knee_argv(mini_dir: Path, out: Path, *extra) -> list[str]:
     return ["knee-curve", "--dataset-dir", str(mini_dir), "--topic", "gamma", "--out", str(out), *extra]
@@ -870,6 +886,8 @@ class TestNameClash:
             ["train", str(tmp_path / "ds"), "--out", str(out)],
             ["run", "--dataset-dir", str(tmp_path / "ds"), "--output-dir", str(out), "--method", "adprm-e"],
             ["eval", "--pred", str(mini_dir), "--dataset", str(tmp_path / "ds")],
+            ["knee-curve", "--dataset-dir", str(tmp_path / "ds"), "--method", "adprm-e", "--topic", "a b",
+             "--out", str(out)],
         ):
             assert main(argv) == 1
             err = _one_json_error(capsys)
@@ -1050,6 +1068,9 @@ class TestMalformedInput:
             {"pretokenized": [[1, 2], ["crews"]]},
             {"pretokenized": ["ab", "cd"]},
             {"pretokenized": [["a flood"], "crews"]},
+            {"pretokenized": [["a", None]]},
+            {"pretokenized": [{"a": "flood"}]},
+            {"pretokenized": {"a": ["flood"]}},
         ],
     )
     def test_article_field_types(self, tmp_path, capsys, bad):

@@ -29,7 +29,7 @@ from adaptls.errors import EmptyCorpus, NotFound, ParseError
 from adaptls.event_ranking import detect_events
 from adaptls.temporal import annotate_topic
 from adaptls.tfidf import build_vectorizer
-from synthdata import save_topic
+from synthdata import planted_topics, save_topic
 import tfidf_oracle
 
 
@@ -429,6 +429,58 @@ class TestLoadReferences:
         (tmp_path / "a" / "articles.jsonl").write_text("")
         (tmp_path / "a" / "timelines.jsonl").write_text("")
         assert load_references(tmp_path) == [("a", []), ("b", [])]
+
+
+def _distinct_token_objects(topic: Topic) -> int:
+    return len({id(tok) for s in topic.sentences() for tok in s.tokens})
+
+
+def _pretokenized_planted_topic(root) -> Topic:
+    """A planted topic written pretokenized and loaded back; its first
+    article's text is blank, so its token lists take the fallback."""
+    save_topic(planted_topics()[0], root)
+    path = root / "articles.jsonl"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    first = json.loads(lines[0])
+    first["text"] = ""
+    path.write_text("\n".join([json.dumps(first)] + lines[1:]) + "\n", encoding="utf-8")
+    return annotate_topic(load_topic(root))
+
+
+class TestSharedTokens:
+    """Each distinct token of a topic is one string object, however it came in."""
+
+    def test_raw_text(self, mini_dataset):
+        for topic in mini_dataset:
+            vocabulary = build_vectorizer(topic).vocabulary
+            assert _distinct_token_objects(topic) == len(vocabulary)
+
+    def test_pretokenized(self, tmp_path):
+        topic = _pretokenized_planted_topic(tmp_path / "t")
+        assert topic.articles[0].sentences[0].raw == " ".join(topic.articles[0].sentences[0].tokens)
+        vocabulary = build_vectorizer(topic).vocabulary
+        assert _distinct_token_objects(topic) == len(vocabulary)
+
+    def test_a_pickled_topic_keeps_them_shared(self, tmp_path):
+        """What `--jobs` sends a worker: each distinct token is pickled once."""
+        topic = _pretokenized_planted_topic(tmp_path / "t")
+        copy = pickle.loads(pickle.dumps(topic))
+        assert copy == topic
+        assert _distinct_token_objects(copy) == len(build_vectorizer(copy).vocabulary)
+        # The same topic with one string per token occurrence, as `json.loads` makes them.
+        unshared = Topic(
+            topic.name,
+            [
+                Article(a.id, a.publish_date, a.title, [
+                    Sentence(s.raw, json.loads(json.dumps(s.tokens)), s.mentions) for s in a.sentences
+                ])
+                for a in topic.articles
+            ],
+            topic.queries,
+            topic.reference_timelines,
+        )
+        assert unshared == topic
+        assert len(pickle.dumps(topic)) < len(pickle.dumps(unshared))
 
 
 class TestQueryFilter:
