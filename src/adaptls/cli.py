@@ -103,9 +103,13 @@ def _prediction_name(topic_name: str, ref_name: str) -> str:
     return f"{_safe_name(topic_name)}__{_safe_name(ref_name)}.json"
 
 
-def _check_names(references) -> None:
-    """Reject (topic name, reference timelines) pairs where two topics would
-    share a regressor file or two references a prediction file."""
+def _checked_references(root) -> list[tuple[str, list[Timeline]]]:
+    """(topic name, reference timelines) of every topic under `root`.
+
+    Rejects a dataset where two topics would share a regressor file or two
+    references a prediction file.  A topic's directory is `root / name`.
+    """
+    references = load_references(root)
     owners: dict[str, str] = {}
     for topic, timelines in references:
         for file_name, owner in [(_regressor_name(topic), f"topic {topic!r}")] + [
@@ -115,10 +119,12 @@ def _check_names(references) -> None:
             if file_name in owners:
                 raise NameClash(f"{owners[file_name]} and {owner} share the file name {file_name}")
             owners[file_name] = owner
+    return references
 
 
-def _prepare(topic: Topic, config: RunConfig) -> Topic:
-    annotate_topic(topic)
+def _prepare(topic_dir: Path, config: RunConfig) -> Topic:
+    """The topic in `topic_dir`, annotated and, if configured, filtered by its queries."""
+    topic = annotate_topic(load_topic(topic_dir))
     if config.use_query_filter:
         topic = filter_by_queries(topic)
     return topic
@@ -185,8 +191,8 @@ def _choose_length(items, config: RunConfig):
     )
 
 
-def _run_topic(topic: Topic, config: RunConfig):
-    """(manifest entry, timeline) per reference timeline of the topic.
+def _run_topic(topic_dir: Path, config: RunConfig):
+    """(manifest entry, timeline) per reference timeline of the topic in `topic_dir`.
 
     The adaptive constraint asks for the knee's length l, with k = 1 or the
     expert k of all the topic's references; the base constraint asks for
@@ -195,7 +201,7 @@ def _run_topic(topic: Topic, config: RunConfig):
     timeline, so each output's `l` is the number of entries written.
     """
     _bind(_PIPELINE)  # also in a worker of a spawn or forkserver pool
-    topic = _prepare(topic, config)
+    topic = _prepare(topic_dir, config)
     vec = build_vectorizer(topic)
     items = _score_items(topic, config, vec)
     summarizer = config.effective_summarizer()
@@ -227,25 +233,30 @@ def _run_topic(topic: Topic, config: RunConfig):
 
 def cmd_train(args) -> int:
     check_number("lambda", args.l2_lambda)
-    dataset = load_dataset(args.dataset)
-    if len(dataset) < 2:
+    root = Path(args.dataset)
+    names = [name for name, _ in _checked_references(root)]
+    if len(names) < 2:
         raise InsufficientTopics(
             "leave-one-topic-out training needs at least 2 topics"
         )
-    _check_names((t.name, t.reference_timelines) for t in dataset)
     _bind(["annotate_topic", "date_ranking"])
+    blocks = {}
+    for name in names:
+        topic = annotate_topic(load_topic(root / name))
+        if topic.reference_timelines:
+            blocks[name] = date_ranking.training_rows(topic)
+        del topic  # freed before the next topic loads
+    regressors = {
+        held_out: date_ranking.train_regressor(
+            [block for name, block in blocks.items() if name != held_out], args.l2_lambda
+        )
+        for held_out in names
+    }
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    blocks = {}
-    for topic in dataset:
-        annotate_topic(topic)
-        if topic.reference_timelines:
-            blocks[topic.name] = date_ranking.training_rows(topic)
-    for held_out in dataset:
-        training = [block for name, block in blocks.items() if name != held_out.name]
-        regressor = date_ranking.train_regressor(training, args.l2_lambda)
-        regressor.save(out_dir / _regressor_name(held_out.name))
-    print(f"wrote {len(dataset)} regressors to {out_dir}")
+    for name, regressor in regressors.items():
+        regressor.save(out_dir / _regressor_name(name))
+    print(f"wrote {len(regressors)} regressors to {out_dir}")
     return 0
 
 
@@ -253,21 +264,22 @@ def cmd_run(args) -> int:
     config = _load_config(args)
     if not config.dataset_dir or not config.output_dir:
         raise ValueError("run needs --dataset-dir and --output-dir")
-    dataset = load_dataset(config.dataset_dir)
-    _check_names((t.name, t.reference_timelines) for t in dataset)
+    root = Path(config.dataset_dir)
+    topic_dirs = [root / name for name, _ in _checked_references(root)]
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    # A fork pool starts all its workers at the first task: never more than topics.
-    workers = min(config.jobs, len(dataset))
+    # Each topic is loaded on its turn, in this process or in a worker.  A
+    # fork pool starts all its workers at the first task: never more than topics.
+    workers = min(config.jobs, len(topic_dirs))
     if workers > 1:
         _bind(_PIPELINE + ("ProcessPoolExecutor",))  # before the fork: workers inherit them
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_topic = list(
-                pool.map(_run_topic, dataset, [config] * len(dataset))
+                pool.map(_run_topic, topic_dirs, [config] * len(topic_dirs))
             )
     else:
-        per_topic = [_run_topic(topic, config) for topic in dataset]
+        per_topic = [_run_topic(topic_dir, config) for topic_dir in topic_dirs]
 
     manifest = {"config": config._asdict(), "outputs": []}
     for outputs in per_topic:
@@ -295,8 +307,7 @@ def _load_prediction(pred_dir: Path, topic_name: str, ref_name: str) -> Timeline
 def cmd_eval(args) -> int:
     pred_dir = Path(args.pred)
     _bind(["evaluation"])
-    dataset = load_references(args.dataset)
-    _check_names(dataset)
+    dataset = _checked_references(args.dataset)
     report = evaluation.EvalReport()
     for topic_name, references in dataset:
         for reference in references:
@@ -334,12 +345,10 @@ def cmd_knee_curve(args) -> int:
         raise ValueError(f"knee-curve needs the adaptive constraint; there is no knee under {config.constraint!r}")
     if not config.dataset_dir:
         raise ValueError("knee-curve needs --dataset-dir")
-    dataset = load_references(config.dataset_dir)
-    _check_names(dataset)
-    if args.topic not in {name for name, _ in dataset}:
+    if args.topic not in {name for name, _ in _checked_references(config.dataset_dir)}:
         raise UnknownTopic(f"topic {args.topic!r} not in dataset")
     _bind(_PIPELINE + ("evaluation",))
-    topic = _prepare(load_topic(Path(config.dataset_dir) / args.topic), config)
+    topic = _prepare(Path(config.dataset_dir) / args.topic, config)
     items = _score_items(topic, config, build_vectorizer(topic))
 
     l, curve, knee = _choose_length(items, config)

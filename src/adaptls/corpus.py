@@ -44,8 +44,7 @@ LATEST_PUBLISH_DATE = Date.max - timedelta(days=STEP_DAYS)
 class _Record:
     """Equality, repr and pickles over a subclass's `_fields`, as a dataclass has them.
 
-    A pickle rebuilds the record by calling its class with `_args()`, which
-    are the fields' values unless the subclass says otherwise.
+    A pickle rebuilds the record by calling its class with the fields' values.
     """
 
     __slots__ = ()
@@ -54,9 +53,6 @@ class _Record:
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
-
-    def _args(self) -> tuple:
-        return self._values()
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -68,7 +64,7 @@ class _Record:
         return f"{type(self).__name__}({pairs})"
 
     def __reduce__(self):
-        return type(self), self._args()
+        return type(self), self._values()
 
 
 class Sentence(_Record):
@@ -77,11 +73,11 @@ class Sentence(_Record):
     `tokens` are the ones given (pretokenized input) or else `tokenize(raw)`,
     computed on first read and kept.  Computed tokens are interned, as the
     loader interns pretokenized lists, so a dataset holds one string object
-    per distinct token.  Equality and repr see the tokens' value, never
-    whether they were computed yet; a pickle holds only given tokens.
+    per distinct token.  Equality, repr and pickles see the tokens' value,
+    never whether they were computed yet.
     """
 
-    __slots__ = ("raw", "mentions", "_given", "_tokens")
+    __slots__ = ("raw", "mentions", "_tokens")
     _fields = ("raw", "tokens", "mentions")
 
     def __init__(
@@ -92,7 +88,7 @@ class Sentence(_Record):
     ):
         self.raw = raw
         self.mentions = [] if mentions is None else mentions
-        self._given = self._tokens = tokens
+        self._tokens = tokens
 
     @property
     def tokens(self) -> list[str]:
@@ -100,9 +96,6 @@ class Sentence(_Record):
             self._tokens = tokens = tokenize(self.raw)
             tokens[:] = map(sys.intern, tokens)  # in place: keeps the list's exact size
         return self._tokens
-
-    def _args(self) -> tuple:
-        return self.raw, self._given, self.mentions
 
 
 class Article(NamedTuple):

@@ -264,18 +264,10 @@ def dataset_stats(dataset: list[Topic]) -> StatsReport:
 
     Every average is taken over (topic, reference timeline) pairs; corpus
     quantities (sentence counts, durations, candidate dates) come from the
-    pair's topic.  Requires mentions to be annotated; a topic without
-    sentences raises EmptyCorpus.
+    pair's topic, computed once per topic.  Requires mentions to be
+    annotated; a topic without sentences raises EmptyCorpus.
     """
     from .temporal import candidate_dates  # its date patterns are not needed by `eval`
-
-    pairs = [
-        (topic, timeline)
-        for topic in dataset
-        for timeline in topic.reference_timelines
-    ]
-    if not pairs:
-        raise EmptyDataset("no topic has a reference timeline")
 
     sent_nums = []
     doc_nums = []
@@ -286,31 +278,34 @@ def dataset_stats(dataset: list[Topic]) -> StatsReport:
     sent_comps = []
     date_comps = []
     date_covs = []
-    for topic, timeline in pairs:
+    for topic in dataset:
+        if not topic.reference_timelines:
+            continue
         total_sentences = len(topic.sentences())
         if not total_sentences:
             raise EmptyCorpus(f"topic {topic.name!r} has no sentences")
-        candidates = candidate_dates(topic)
-        corpus_dates = {c.date for c in candidates}
+        corpus_dates = {c.date for c in candidate_dates(topic)}
         duration = topic.duration_days
-
-        sent_nums.append(total_sentences)
-        doc_nums.append(len(topic.articles))
-        lengths.append(timeline.length)
-        ks.append(timeline.total_sentences / timeline.length)
-        durations.append(duration)
-        dur_comps.append(timeline.length / max(duration, 1))
-        sent_comps.append(timeline.total_sentences / total_sentences)
-        date_comps.append(timeline.length / len(corpus_dates))
-        covered = sum(1 for day in timeline.dates() if day in corpus_dates)
-        date_covs.append(covered / timeline.length)
+        for timeline in topic.reference_timelines:
+            sent_nums.append(total_sentences)
+            doc_nums.append(len(topic.articles))
+            lengths.append(timeline.length)
+            ks.append(timeline.total_sentences / timeline.length)
+            durations.append(duration)
+            dur_comps.append(timeline.length / max(duration, 1))
+            sent_comps.append(timeline.total_sentences / total_sentences)
+            date_comps.append(timeline.length / len(corpus_dates))
+            covered = sum(1 for day in timeline.dates() if day in corpus_dates)
+            date_covs.append(covered / timeline.length)
+    if not lengths:
+        raise EmptyDataset("no topic has a reference timeline")
 
     def mean(values):
         return sum(values) / len(values)
 
     return StatsReport(
         topics=len(dataset),
-        timelines=len(pairs),
+        timelines=len(lengths),
         avg_sent_num=mean(sent_nums),
         avg_docs_num=mean(doc_nums),
         avg_l=mean(lengths),

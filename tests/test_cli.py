@@ -1,10 +1,14 @@
 import csv
+import functools
+import gc
 import json
 import math
+import multiprocessing
 import random
 import shutil
 import tempfile
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -63,6 +67,16 @@ class TestTrain:
         assert main(["train", str(tmp_path / "ds"), "--out", str(tmp_path / "out")]) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "EmptyDataset"
+
+    def test_a_failed_train_writes_no_regressor(self, mini_dir, tmp_path, capsys):
+        """Every held-out regressor is trained before the first one is written."""
+        root = tmp_path / "ds"
+        shutil.copytree(mini_dir / "alpha", root / "a")
+        (root / "a" / "timelines.jsonl").write_text("")
+        shutil.copytree(mini_dir / "beta", root / "b")
+        assert main(["train", str(root), "--out", str(tmp_path / "reg")]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "EmptyDataset"
+        assert not (tmp_path / "reg").exists()
 
 
 def _run(planted_dir, trained_dir, out_dir, *extra):
@@ -182,9 +196,10 @@ gen.generate(sys.argv[1], int(sys.argv[2]), sys.argv[3])
 
 
 class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+    """Stands in for ProcessPoolExecutor: records max_workers and the tasks, maps in-process."""
 
     sizes: list[int] = []
+    tasks: list[tuple] = []
 
     def __init__(self, max_workers):
         self.sizes.append(max_workers)
@@ -196,7 +211,9 @@ class _RecordingPool:
         return False
 
     def map(self, fn, *iterables):
-        return map(fn, *iterables)
+        tasks = list(zip(*iterables))
+        self.tasks.extend(tasks)
+        return (fn(*task) for task in tasks)
 
 
 class TestJobs:
@@ -265,6 +282,67 @@ class TestJobs:
         assert pool.pop("manifest.json").decode() == json.dumps(manifest, ensure_ascii=False, indent=2) + "\n"
         references = [p.read_text().splitlines() for p in tmp_path.glob("dataset/*/timelines.jsonl")]
         assert pool == serial and len(serial) == sum(map(len, references))
+
+
+class TestOneTopicAtATime:
+    """`run` and `train` load each topic on its turn and drop it before the next."""
+
+    @pytest.mark.parametrize("method", ["adprm-d", "adprm-e"])
+    def test_run_holds_one_topic(self, mini_dir, tmp_path, monkeypatch, method):
+        from adaptls import cli
+        from adaptls.tfidf import build_vectorizer
+
+        def topics_alive() -> int:
+            gc.collect()
+            return sum(isinstance(obj, corpus.Topic) for obj in gc.get_objects())
+
+        def counting(topic):
+            alive.append(topics_alive())
+            return build_vectorizer(topic)
+
+        def no_dataset(root):
+            raise AssertionError(f"the whole dataset {root} was loaded")
+
+        monkeypatch.setattr(cli, "load_dataset", no_dataset)
+        argv = ["run", "--dataset-dir", str(mini_dir), "--output-dir", str(tmp_path / "out"), "--method", method]
+        if method == "adprm-d":
+            assert main(["train", str(mini_dir), "--out", str(tmp_path / "reg")]) == 0
+            argv += ["--regressors", str(tmp_path / "reg")]
+        monkeypatch.setattr(cli, "build_vectorizer", counting)
+        alive = []
+        before = topics_alive()
+        assert main(argv) == 0
+        assert alive == [before + 1] * 3  # one build per mini topic, with only that topic alive
+
+    def test_workers_receive_directories(self, mini_dir, tmp_path, monkeypatch):
+        monkeypatch.setattr("adaptls.cli.ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(_RecordingPool, "sizes", [])
+        monkeypatch.setattr(_RecordingPool, "tasks", [])
+        argv = ["run", "--dataset-dir", str(mini_dir), "--output-dir", str(tmp_path / "out")]
+        assert main(argv + ["--method", "adprm-e", "--jobs", "2"]) == 0
+        topic_dirs = [topic_dir for topic_dir, _ in _RecordingPool.tasks]
+        assert all(isinstance(topic_dir, Path) for topic_dir in topic_dirs)
+        assert topic_dirs == sorted(mini_dir.iterdir())
+
+    @pytest.mark.parametrize("command", ["run", "run --jobs 2", "train"])
+    def test_malformed_last_topic_writes_nothing(self, mini_dir, tmp_path, monkeypatch, capsys, command):
+        """A bad topic fails the command when its turn comes, before anything is written."""
+        root = tmp_path / "ds"
+        shutil.copytree(mini_dir, root)
+        bad = root / "gamma" / "articles.jsonl"
+        bad.write_text('{"id": "g1"\n')
+        fork_pool = functools.partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork"))
+        monkeypatch.setattr("adaptls.cli.ProcessPoolExecutor", fork_pool)
+        out = tmp_path / "out"
+        if command == "train":
+            argv = ["train", str(root), "--out", str(out)]
+        else:
+            argv = ["run", "--dataset-dir", str(root), "--output-dir", str(out), "--method", "adprm-e"]
+            argv += command.split()[1:]
+        assert main(argv) == 1
+        err = _one_json_error(capsys)
+        assert err["error"] == "ParseError" and err["message"].startswith(f"{bad}:1: ")
+        assert not out.exists() or not any(out.iterdir())
 
 
 def _shuffled_copy(src: Path, dst: Path, seed: int) -> Path:
@@ -651,6 +729,21 @@ class TestStats:
         assert main(["stats", str(mini_dir)]) == 0
         out = capsys.readouterr().out
         assert "AvgSentNum" in out and "AvgDateCov" in out
+
+    def test_candidate_dates_once_per_topic(self, mini_dir, monkeypatch, capsys):
+        """gamma has two references; its corpus figures are still computed once."""
+        from adaptls import temporal
+
+        candidate_dates = temporal.candidate_dates
+        calls = []
+
+        def counting(topic):
+            calls.append(topic.name)
+            return candidate_dates(topic)
+
+        monkeypatch.setattr(temporal, "candidate_dates", counting)
+        assert main(["stats", str(mini_dir), "--json"]) == 0
+        assert calls == ["alpha", "beta", "gamma"]
 
 
 class TestKneeCurve:

@@ -378,7 +378,7 @@ class TestDataModel:
         assert Topic("t", []).queries == [] and Topic("t", []).queries is not Topic("t", []).queries
         assert Topic("t", []) == Topic("t", [], [], []) != Topic("u", [])
         assert repr(Topic("t", [])) == "Topic(name='t', articles=[], queries=[], reference_timelines=[])"
-        for topic in mini_dataset:  # as `run --jobs` sends it to a worker
+        for topic in mini_dataset:
             copy = pickle.loads(pickle.dumps(topic))
             assert copy == topic and repr(copy) == repr(topic)
         with pytest.raises(TypeError):
@@ -462,7 +462,7 @@ class TestSharedTokens:
         assert _distinct_token_objects(topic) == len(vocabulary)
 
     def test_a_pickled_topic_keeps_them_shared(self, tmp_path):
-        """What `--jobs` sends a worker: each distinct token is pickled once."""
+        """A pickled topic writes each distinct token once and unpickles with them shared."""
         topic = _pretokenized_planted_topic(tmp_path / "t")
         copy = pickle.loads(pickle.dumps(topic))
         assert copy == topic
