@@ -44,10 +44,11 @@ from .errors import (
 )
 
 # Names bound on first use, each to (module, attribute or None for the module
-# itself).  They load numpy, multiprocessing or the date patterns, none of
-# which `eval` needs, or the evaluation metrics, which `train` and `run` do
-# not need.  Each stays an attribute of this module that a caller may
-# replace (bench/tracing.py does), and `_bind` never overwrites one.
+# itself).  They load the date patterns, numpy (`event_ranking`, `summarizer`
+# and `tfidf`) or multiprocessing, none of which `eval` needs, or the
+# evaluation metrics, which `train` and `run` do not need.  Each stays an
+# attribute of this module that a caller may replace (bench/tracing.py
+# does), and `_bind` never overwrites one.
 _LAZY = {
     "adaptive_selection": (".adaptive_selection", None),
     "date_ranking": (".date_ranking", None),
@@ -244,7 +245,7 @@ def cmd_train(args) -> int:
     for name in names:
         topic = annotate_topic(load_topic(root / name))
         if topic.reference_timelines:
-            blocks[name] = date_ranking.training_rows(topic)
+            blocks[name] = date_ranking.moments(*date_ranking.training_rows(topic))
         del topic  # freed before the next topic loads
     regressors = {
         held_out: date_ranking.train_regressor(
@@ -266,8 +267,6 @@ def cmd_run(args) -> int:
         raise ValueError("run needs --dataset-dir and --output-dir")
     root = Path(config.dataset_dir)
     topic_dirs = [root / name for name, _ in _checked_references(root)]
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     # Each topic is loaded on its turn, in this process or in a worker.  A
     # fork pool starts all its workers at the first task: never more than topics.
@@ -281,6 +280,8 @@ def cmd_run(args) -> int:
     else:
         per_topic = [_run_topic(topic_dir, config) for topic_dir in topic_dirs]
 
+    out_dir = Path(config.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)  # only once every topic has run
     manifest = {"config": config._asdict(), "outputs": []}
     for outputs in per_topic:
         for entry, timeline in outputs:

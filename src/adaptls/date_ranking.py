@@ -2,7 +2,10 @@
 
 The target is binary (does the date appear in any reference timeline of its
 topic) and the model is closed-form ridge regression with an unregularized
-bias, which is all the tiny 9-feature system needs.
+bias, which is all the tiny 9-feature system needs.  It is plain Python
+floats added in a fixed order, so a regressor has the same bytes on every
+IEEE-754 machine; no sum here is `sum()`, which adds floats with
+compensated summation from Python 3.12 on.
 """
 
 from __future__ import annotations
@@ -10,11 +13,11 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from functools import reduce
 from itertools import accumulate
+from operator import add, mul
 from pathlib import Path
-
-import numpy as np
+from typing import NamedTuple
 
 from .config import DEFAULT_LAMBDA, is_finite_number
 from .corpus import Topic, read_json
@@ -22,14 +25,15 @@ from .errors import EmptyDataset, ParseError, SingularSystem
 from .temporal import DateCandidate, candidate_dates
 
 N_FEATURES = 9  # columns of feature_matrix
+_SIZE = N_FEATURES + 1  # and the bias column of the ridge system
 
 
 def _clamp01(x: float) -> float:
     return min(1.0, max(0.0, x))
 
 
-def feature_matrix(topic: Topic) -> tuple[list[DateCandidate], np.ndarray]:
-    """All candidates of a topic with their (n, N_FEATURES) feature rows.
+def feature_matrix(topic: Topic) -> tuple[list[DateCandidate], list[list[float]]]:
+    """All candidates of a topic with their feature rows of N_FEATURES floats.
 
     Columns: ln(1 + mentions), ln(1 + articles published on the date),
     ln(1 + sentences published on it), ln(1 + mentions within +-1, +-3 and
@@ -69,19 +73,23 @@ def feature_matrix(topic: Topic) -> tuple[list[DateCandidate], np.ndarray]:
                 pos_last,
             ]
         )
-    return candidates, np.array(rows)
+    return candidates, rows
 
 
-@dataclass(frozen=True)
-class Regressor:
-    weights: np.ndarray  # shape (N_FEATURES,)
+def _dot(row, weights) -> float:
+    """The products of `row` and `weights` added left to right from 0.0."""
+    return reduce(add, map(mul, row, weights), 0.0)
+
+
+class Regressor(NamedTuple):
+    weights: list[float]  # N_FEATURES of them
     bias: float
     l2_lambda: float
 
-    def predict(self, features: np.ndarray) -> np.ndarray:
-        """One score per feature row; inf or NaN, with no warning, where it overflows."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            return features @ self.weights + self.bias
+    def predict(self, rows) -> list[float]:
+        """One score per feature row: its products with the weights added left to
+        right, plus the bias; inf or NaN, with no warning, where it overflows."""
+        return [_dot(row, self.weights) + self.bias for row in rows]
 
     def to_json_obj(self) -> dict:
         return {
@@ -105,29 +113,58 @@ class Regressor:
             raise ParseError(f"{path}: 'weights' must be a list of {N_FEATURES} numbers")
         if not all(map(is_finite_number, weights + [obj["bias"], obj["lambda"]])):
             raise ParseError(f"{path}: weights, bias and lambda must be finite numbers")
-        return Regressor(
-            np.array(weights, dtype=float), float(obj["bias"]), float(obj["lambda"])
-        )
+        return Regressor([float(w) for w in weights], float(obj["bias"]), float(obj["lambda"]))
 
 
-def solve_ridge(
-    X: np.ndarray, y: np.ndarray, l2_lambda: float
-) -> tuple[np.ndarray, float]:
-    """Closed-form ridge solution with an unregularized bias column."""
-    n = X.shape[0]
-    A = np.hstack([X, np.ones((n, 1))])
-    penalty = np.diag([l2_lambda] * X.shape[1] + [0.0])
-    gram = A.T @ A + penalty
-    try:
-        solution = np.linalg.solve(gram, A.T @ y)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(str(exc)) from exc
-    if not np.all(np.isfinite(solution)):
+# A block's moments: the _SIZE x _SIZE matrix A^T A and the vector A^T y of
+# A = [feature rows | 1] and targets y.
+Moments = tuple[list[list[float]], list[float]]
+
+
+def moments(rows, targets) -> Moments:
+    """The moments of feature `rows` and their `targets`, each entry summed in row order."""
+    columns = [*zip(*rows), [1.0] * len(rows)]
+    gram = [[0.0] * _SIZE for _ in range(_SIZE)]
+    for i, column in enumerate(columns):
+        for j in range(i, _SIZE):
+            gram[i][j] = gram[j][i] = _dot(column, columns[j])
+    return gram, [_dot(column, targets) for column in columns]
+
+
+def _solve(gram, rhs, l2_lambda: float) -> tuple[list[float], float]:
+    """(weights, bias) solving (gram + l2_lambda on the weights' diagonal) x = rhs.
+
+    Gaussian elimination with partial pivoting (the first row of largest
+    magnitude), then back substitution.  An exact zero pivot or a non-finite
+    solution raises SingularSystem.
+    """
+    a = [[*row, b] for row, b in zip(gram, rhs)]  # augmented, copied
+    for i in range(N_FEATURES):
+        a[i][i] += l2_lambda
+    for p in range(_SIZE):
+        best = max(range(p, _SIZE), key=lambda r: abs(a[r][p]))
+        if a[best][p] == 0.0:
+            raise SingularSystem(f"singular ridge system: zero pivot in column {p}")
+        a[p], a[best] = a[best], a[p]
+        pivot_row = a[p]
+        for row in a[p + 1 :]:
+            factor = row[p] / pivot_row[p]
+            for c in range(p + 1, _SIZE + 1):
+                row[c] -= factor * pivot_row[c]
+    x = [0.0] * _SIZE
+    for i in reversed(range(_SIZE)):
+        x[i] = (a[i][_SIZE] - _dot(a[i][i + 1 : _SIZE], x[i + 1 :])) / a[i][i]
+    if not all(map(math.isfinite, x)):
         raise SingularSystem("non-finite ridge solution")
-    return solution[:-1], float(solution[-1])
+    return x[:N_FEATURES], x[N_FEATURES]
 
 
-def training_rows(topic: Topic) -> tuple[np.ndarray, np.ndarray]:
+def solve_ridge(X, y, l2_lambda: float) -> tuple[list[float], float]:
+    """Closed-form ridge solution with an unregularized bias column."""
+    return _solve(*moments(X, y), l2_lambda)
+
+
+def training_rows(topic: Topic) -> tuple[list[list[float]], list[float]]:
     """A topic's feature rows and binary targets.
 
     A date is a positive example iff it appears in any reference timeline of
@@ -137,19 +174,21 @@ def training_rows(topic: Topic) -> tuple[np.ndarray, np.ndarray]:
         day for timeline in topic.reference_timelines for day in timeline.dates()
     }
     candidates, X = feature_matrix(topic)
-    y = np.array([1.0 if c.date in reference_dates else 0.0 for c in candidates])
+    y = [1.0 if c.date in reference_dates else 0.0 for c in candidates]
     return X, y
 
 
-def train_regressor(
-    blocks: list[tuple[np.ndarray, np.ndarray]], l2_lambda: float = DEFAULT_LAMBDA
-) -> Regressor:
-    """Fit the date regressor on the stacked `training_rows` blocks, in order."""
+def train_regressor(blocks: list[Moments], l2_lambda: float = DEFAULT_LAMBDA) -> Regressor:
+    """Fit the date regressor on the `moments` of its training blocks, added in order."""
     if not blocks:
         raise EmptyDataset("no training topic has a reference timeline")
-    X = np.vstack([X for X, _ in blocks])
-    y = np.concatenate([y for _, y in blocks])
-    weights, bias = solve_ridge(X, y, l2_lambda)
+    gram = [[0.0] * _SIZE for _ in range(_SIZE)]
+    rhs = [0.0] * _SIZE
+    for block_gram, block_rhs in blocks:
+        for total, part in zip(gram, block_gram):
+            total[:] = map(add, total, part)
+        rhs[:] = map(add, rhs, block_rhs)
+    weights, bias = _solve(gram, rhs, l2_lambda)
     return Regressor(weights, bias, l2_lambda)
 
 
@@ -158,7 +197,6 @@ def score_dates(
 ) -> list[tuple[DateCandidate, float]]:
     """Score every candidate date, best first; ties go to the earlier date."""
     candidates, X = feature_matrix(topic)
-    scores = regressor.predict(X)
-    scored = list(zip(candidates, (float(s) for s in scores)))
+    scored = list(zip(candidates, regressor.predict(X)))
     scored.sort(key=lambda item: (-item[1], item[0].date))
     return scored

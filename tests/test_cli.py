@@ -78,6 +78,12 @@ class TestTrain:
         assert json.loads(capsys.readouterr().err)["error"] == "EmptyDataset"
         assert not (tmp_path / "reg").exists()
 
+    def test_singular_system_writes_no_regressor(self, mini_dir, tmp_path, capsys):
+        # mini's training sets have 5 or 6 candidate dates for 10 coefficients
+        assert main(["train", str(mini_dir), "--out", str(tmp_path / "reg"), "--lambda", "0"]) == 1
+        assert _one_json_error(capsys)["error"] == "SingularSystem"
+        assert not (tmp_path / "reg").exists()
+
 
 def _run(planted_dir, trained_dir, out_dir, *extra):
     argv = [
@@ -326,7 +332,7 @@ class TestOneTopicAtATime:
 
     @pytest.mark.parametrize("command", ["run", "run --jobs 2", "train"])
     def test_malformed_last_topic_writes_nothing(self, mini_dir, tmp_path, monkeypatch, capsys, command):
-        """A bad topic fails the command when its turn comes, before anything is written."""
+        """A bad topic fails the command when its turn comes, before its output directory is made."""
         root = tmp_path / "ds"
         shutil.copytree(mini_dir, root)
         bad = root / "gamma" / "articles.jsonl"
@@ -342,7 +348,7 @@ class TestOneTopicAtATime:
         assert main(argv) == 1
         err = _one_json_error(capsys)
         assert err["error"] == "ParseError" and err["message"].startswith(f"{bad}:1: ")
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
 
 def _shuffled_copy(src: Path, dst: Path, seed: int) -> Path:

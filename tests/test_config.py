@@ -1,6 +1,6 @@
-"""Which modules a command loads: the config and `eval` need no numpy, `eval`,
-`stats` and load+annotate no `dataclasses` (which loads `inspect`), and
-`train` and `run` no evaluation metrics."""
+"""Which modules a command loads: the config, `train` and `eval` need no
+numpy, `train`, `eval`, `stats` and load+annotate no `dataclasses` (which
+loads `inspect`), and `train` and `run` no evaluation metrics."""
 
 from pathlib import Path
 
@@ -75,6 +75,12 @@ def test_eval_and_stats_load_no_dataclasses(fresh_python, predictions, tmp_path)
     evaluate = ["eval", "--pred", str(predictions), "--dataset", str(MINI_DIR), "--out", str(tmp_path / "r")]
     assert fresh_python("-c", command, *evaluate).split() == []
     assert fresh_python("-c", command, "stats", str(MINI_DIR)).split() == []
+
+
+def test_train_loads_no_numpy_and_no_dataclasses(fresh_python, tmp_path):
+    command = _command(("numpy",) + NO_DATACLASSES)
+    train = ["train", str(MINI_DIR), "--out", str(tmp_path / "reg")]
+    assert fresh_python("-c", command, *train).split() == []
 
 
 def test_serial_run_loads_no_pool(fresh_python, tmp_path):

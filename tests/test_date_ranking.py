@@ -6,17 +6,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import feature_oracle
-from adaptls.corpus import Article, Sentence, Timeline, Topic, tokenize
+import ridge_oracle
+from synthdata import planted_topics, save_topic
+from adaptls.corpus import Article, Sentence, Timeline, Topic, load_dataset, tokenize
 from adaptls.date_ranking import (
     N_FEATURES,
     Regressor,
     feature_matrix,
+    moments,
     score_dates,
     solve_ridge,
     train_regressor,
     training_rows,
 )
-from adaptls.errors import EmptyDataset
+from adaptls.errors import EmptyDataset, SingularSystem
 from adaptls.temporal import DateCandidate, DateMention, annotate_topic, candidate_dates
 
 
@@ -47,16 +50,16 @@ class TestDateFeatures:
     def test_single_plain_article(self):
         topic = _topic([(date(2020, 1, 1), ["Nothing dated."])])
         _, X = feature_matrix(topic)
-        assert X.shape == (1, 9)
-        assert X[0, MENTION_COUNT] == 0.0
-        assert X[0, PUB_ARTICLE_COUNT] == pytest.approx(math.log(2))
-        assert X[0, MENTION_SHARE] == 0.0
+        assert np.array(X).shape == (1, 9)
+        assert X[0][MENTION_COUNT] == 0.0
+        assert X[0][PUB_ARTICLE_COUNT] == pytest.approx(math.log(2))
+        assert X[0][MENTION_SHARE] == 0.0
 
     def test_single_date_topic_has_zero_positions(self):
         topic = _topic([(date(2020, 1, 1), ["Nothing dated."])])
         _, X = feature_matrix(topic)
-        assert X[0, POS_FIRST] == 0.0
-        assert X[0, POS_LAST] == 0.0
+        assert X[0][POS_FIRST] == 0.0
+        assert X[0][POS_LAST] == 0.0
 
     def test_matches_brute_force_recount(self, mini_dataset):
         for topic in mini_dataset:
@@ -133,8 +136,8 @@ def test_feature_windows_equal_offset_loop(topic):
     candidates, X = feature_matrix(topic)
     expected_candidates, expected = feature_oracle.feature_matrix(topic)
     assert candidates == expected_candidates
-    assert X.shape == expected.shape == (len(candidates), N_FEATURES)
-    assert X.tobytes() == expected.tobytes()
+    assert np.array(X).shape == expected.shape == (len(candidates), N_FEATURES)
+    assert np.array(X).tobytes() == expected.tobytes()
 
 
 class TestRidge:
@@ -168,6 +171,19 @@ class TestRidge:
             assert np.abs(weights - expected[:9]).max() < 1e-8
             assert abs(bias - expected[9]) < 1e-8
 
+    def test_zero_feature_without_lambda_is_singular(self):
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(20, 9))
+        X[:, 3] = 0.0
+        with pytest.raises(SingularSystem):
+            solve_ridge(X, rng.normal(size=20), 0.0)
+
+    def test_overflowing_features_are_singular(self):
+        rng = np.random.default_rng(6)
+        X = rng.normal(size=(20, 9)) * 1e200
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SingularSystem, match="non-finite"):
+            solve_ridge(X, rng.normal(size=20), 1.0)
+
 
 def _training_topics():
     topics = []
@@ -187,13 +203,13 @@ def _training_topics():
 
 
 def _blocks(topics):
-    return [training_rows(topic) for topic in topics]
+    return [moments(*training_rows(topic)) for topic in topics]
 
 
 class TestTrainAndScore:
     def test_saved_regressor_loads_back(self, tmp_path):
         regressor = train_regressor(_blocks(_training_topics()))
-        assert regressor.weights.shape == (N_FEATURES,)
+        assert np.array(regressor.weights).shape == (N_FEATURES,)
         regressor.save(tmp_path / "r.json")
         loaded = Regressor.load(tmp_path / "r.json")
         assert loaded.to_json_obj() == regressor.to_json_obj()
@@ -207,9 +223,9 @@ class TestTrainAndScore:
         topic = _training_topics()[0]
         X, y = training_rows(topic)
         cands, expected_X = feature_matrix(topic)
-        assert np.array_equal(X, expected_X)
+        assert np.array(X).tobytes() == np.array(expected_X).tobytes()
         ref_dates = set(topic.reference_timelines[0].dates())
-        assert y.tolist() == [1.0 if c.date in ref_dates else 0.0 for c in cands]
+        assert y == [1.0 if c.date in ref_dates else 0.0 for c in cands]
 
     def test_trained_model_ranks_key_dates_first(self):
         topics = _training_topics()
@@ -231,12 +247,12 @@ class TestTrainAndScore:
         X = np.vstack(rows)
         y = np.array(targets)
         weights, bias = solve_ridge(X, y, 0.5)
-        assert np.abs(regressor.weights - weights).max() < 1e-8
+        assert np.abs(np.array(regressor.weights) - weights).max() < 1e-8
         assert abs(regressor.bias - bias) < 1e-8
 
     def test_zero_weight_regressor_gives_chronological_order(self):
         topic = _training_topics()[0]
-        regressor = Regressor(np.zeros(9), 0.5, 1.0)
+        regressor = Regressor([0.0] * 9, 0.5, 1.0)
         scored = score_dates(regressor, topic)
         dates = [cand.date for cand, _ in scored]
         assert dates == sorted(dates)
@@ -244,7 +260,7 @@ class TestTrainAndScore:
 
     def test_mention_weight_orders_by_mention_count(self):
         topic = _training_topics()[0]
-        weights = np.zeros(9)
+        weights = [0.0] * 9
         weights[0] = 1.0  # ln(1 + mention_count)
         scored = score_dates(Regressor(weights, 0.0, 1.0), topic)
         counts = [cand.mention_count for cand, _ in scored]
@@ -253,16 +269,16 @@ class TestTrainAndScore:
     def test_scores_are_dot_products(self):
         topic = _training_topics()[0]
         rng = np.random.default_rng(3)
-        regressor = Regressor(rng.normal(size=9), 0.25, 1.0)
+        regressor = Regressor(rng.normal(size=9).tolist(), 0.25, 1.0)
         cands, X = feature_matrix(topic)
-        expected = {c.date: float(x @ regressor.weights + 0.25) for c, x in zip(cands, X)}
+        expected = {c.date: float(np.array(x) @ regressor.weights + 0.25) for c, x in zip(cands, X)}
         for cand, score in score_dates(regressor, topic):
             assert score == pytest.approx(expected[cand.date], abs=1e-12)
 
     def test_constant_shift_preserves_order(self):
         topic = _training_topics()[0]
         rng = np.random.default_rng(4)
-        weights = rng.normal(size=9)
+        weights = rng.normal(size=9).tolist()
         base = score_dates(Regressor(weights, 0.0, 1.0), topic)
         shifted = score_dates(Regressor(weights, 123.0, 1.0), topic)
         assert [c.date for c, _ in base] == [c.date for c, _ in shifted]
@@ -272,6 +288,43 @@ class TestTrainAndScore:
         path = tmp_path / "reg.json"
         regressor.save(path)
         loaded = Regressor.load(path)
-        assert np.array_equal(loaded.weights, regressor.weights)
+        assert np.array(loaded.weights).tobytes() == np.array(regressor.weights).tobytes()
         assert loaded.bias == regressor.bias
         assert loaded.l2_lambda == regressor.l2_lambda
+
+
+def test_predict_adds_left_to_right():
+    # Python 3.12's compensated sum() would give 1.0
+    row = [1e16, 1.0, -1e16] + [0.0] * 6
+    assert Regressor([1.0] * 9, 0.0, 1.0).predict([row]) == [0.0]
+
+
+def _annotated(root):
+    topics = load_dataset(root)
+    for topic in topics:
+        annotate_topic(topic)
+    return topics
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("dataset", ["mini", "planted"])
+def test_train_and_score_equal_loop_oracle(dataset, mini_dir, tmp_path):
+    """Leave-one-topic-out, as `adaptls train` and `run` do, held bit for bit to the loops."""
+    if dataset == "planted":
+        for topic in planted_topics():
+            save_topic(topic, tmp_path / topic.name)
+    topics = _annotated(mini_dir if dataset == "mini" else tmp_path)
+    rows = {topic.name: training_rows(topic) for topic in topics if topic.reference_timelines}
+    for held_out in topics:
+        blocks = [block for name, block in rows.items() if name != held_out.name]
+        regressor = train_regressor([moments(*block) for block in blocks], 1.0)
+        weights, bias = ridge_oracle.train([ridge_oracle.moments(*block) for block in blocks], 1.0)
+        assert _hex(regressor.weights + [regressor.bias]) == _hex(weights + [bias])
+
+        candidates, X = feature_matrix(held_out)
+        expected = dict(zip([c.date for c in candidates], _hex(ridge_oracle.predict(weights, bias, X))))
+        scored = score_dates(regressor, held_out)
+        assert dict(zip([c.date for c, _ in scored], _hex(s for _, s in scored))) == expected
