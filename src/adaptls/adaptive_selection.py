@@ -15,11 +15,6 @@ from .config import DEFAULT_ALPHA, DEFAULT_SENSITIVITY
 from .errors import EmptyInput, TooFewPoints
 
 
-class ScoreCurve(NamedTuple):
-    points: list[tuple[int, float]]  # (c, sc), c strictly increasing from 1
-    alpha: float
-
-
 class KneePoint(NamedTuple):
     c_star: int
     difference: float
@@ -40,8 +35,8 @@ def normalize_scores(scores: list[float]) -> list[float]:
     return [(s - lo) / span for s in scores]
 
 
-def sc_curve(scores: list[float], c_max: int, alpha: float) -> ScoreCurve:
-    """Selection-confidence curve for c = 1..min(c_max, len(scores))."""
+def sc_curve(scores: list[float], c_max: int, alpha: float) -> list[tuple[int, float]]:
+    """The (c, sc) points of the selection-confidence curve, c = 1..min(c_max, len(scores))."""
     if not scores:
         raise EmptyInput("no scores")
     limit = min(c_max, len(scores))
@@ -50,13 +45,13 @@ def sc_curve(scores: list[float], c_max: int, alpha: float) -> ScoreCurve:
     for c in range(1, limit + 1):
         running += scores[c - 1]
         points.append((c, -math.log(running / c + alpha)))
-    return ScoreCurve(points, alpha)
+    return points
 
 
-def _difference_curve(curve: ScoreCurve) -> list[float]:
+def _difference_curve(curve: list[tuple[int, float]]) -> list[float]:
     """Kneedle normalized difference d_i = y_hat_i - x_hat_i."""
-    xs = [float(c) for c, _ in curve.points]
-    ys = [sc for _, sc in curve.points]
+    xs = [float(c) for c, _ in curve]
+    ys = [sc for _, sc in curve]
     x_span = xs[-1] - xs[0]
     y_lo, y_hi = min(ys), max(ys)
     y_span = y_hi - y_lo
@@ -68,8 +63,8 @@ def _difference_curve(curve: ScoreCurve) -> list[float]:
     return [yh - xh for yh, xh in zip(y_hat, x_hat)]
 
 
-def detect_knee(curve: ScoreCurve, sensitivity: float) -> KneePoint | None:
-    """Kneedle knee detection on the normalized difference curve.
+def detect_knee(curve: list[tuple[int, float]], sensitivity: float) -> KneePoint | None:
+    """Kneedle knee detection on the normalized difference curve of the (c, sc) points.
 
     A local maximum of the difference curve becomes the knee once the
     difference drops below ``d_max - sensitivity * mean_x_spacing`` before a
@@ -79,9 +74,11 @@ def detect_knee(curve: ScoreCurve, sensitivity: float) -> KneePoint | None:
     ``d <= -sensitivity * spacing / 2`` count as elbow candidates
     symmetrically (declared once the difference rises back above
     ``d_min + sensitivity * spacing``).  The first extremum to qualify wins.
-    Returns None when nothing qualifies (e.g. a straight line).
+    Both cases are one rule on ``side * d``, with side +1 at a maximum and
+    -1 at a minimum.  Returns None when nothing qualifies (e.g. a straight
+    line).
     """
-    n = len(curve.points)
+    n = len(curve)
     if n < 3:
         raise TooFewPoints(f"need >= 3 points, got {n}")
     diffs = _difference_curve(curve)
@@ -89,37 +86,20 @@ def detect_knee(curve: ScoreCurve, sensitivity: float) -> KneePoint | None:
     dip_gate = -sensitivity * spacing / 2.0
 
     candidate: int | None = None
-    candidate_is_max = True
+    side = 1
     threshold = 0.0
-    for i in range(n):
-        interior = 0 < i < n - 1
-        is_max = interior and diffs[i] > diffs[i - 1] and diffs[i] >= diffs[i + 1]
-        is_min = (
-            interior
-            and diffs[i] < diffs[i - 1]
-            and diffs[i] <= diffs[i + 1]
-            and diffs[i] <= dip_gate
-        )
-        if is_max and (
-            candidate is None or (candidate_is_max and diffs[i] > diffs[candidate])
-        ):
-            candidate = i
-            candidate_is_max = True
-            threshold = diffs[i] - sensitivity * spacing
-            continue
-        if is_min and (
-            candidate is None
-            or (not candidate_is_max and diffs[i] < diffs[candidate])
-        ):
-            candidate = i
-            candidate_is_max = False
-            threshold = diffs[i] + sensitivity * spacing
-            continue
-        if candidate is not None:
-            crossed = diffs[i] < threshold if candidate_is_max else diffs[i] > threshold
-            if crossed:
-                c_star = curve.points[candidate][0]
-                return KneePoint(c_star, diffs[candidate], fallback_used=False)
+    for i, d in enumerate(diffs):
+        sign = 0
+        if 0 < i < n - 1:
+            if d > diffs[i - 1] and d >= diffs[i + 1]:
+                sign = 1
+            elif d < diffs[i - 1] and d <= diffs[i + 1] and d <= dip_gate:
+                sign = -1
+        if sign and (candidate is None or (sign == side and sign * d > sign * diffs[candidate])):
+            candidate, side = i, sign
+            threshold = sign * d - sensitivity * spacing
+        elif candidate is not None and side * d < threshold:
+            return KneePoint(curve[candidate][0], diffs[candidate], fallback_used=False)
     return None
 
 
@@ -128,14 +108,15 @@ def choose_length(
     alpha: float = DEFAULT_ALPHA,
     sensitivity: float = DEFAULT_SENSITIVITY,
     c_max: int | None = None,
-) -> tuple[int, ScoreCurve, KneePoint]:
+) -> tuple[int, list[tuple[int, float]], KneePoint]:
     """Pick the timeline length for a descending-scored item list.
 
     Scores are min-max normalized, the SC curve is built up to c_max
     (default: all items) and the Kneedle knee gives l.  With no qualifying
     knee the global maximum of the difference curve is used instead; with
     fewer than three items l is simply the item count.  Both fallbacks are
-    flagged on the returned KneePoint.
+    flagged on the returned KneePoint.  Returns (l, the curve's (c, sc)
+    points, knee).
     """
     if not scored_items:
         raise EmptyInput("no scored items")
@@ -143,13 +124,13 @@ def choose_length(
     limit = c_max if c_max is not None else len(scores)
     curve = sc_curve(scores, limit, alpha)
 
-    if len(curve.points) < 3:
-        l = len(curve.points)
+    if len(curve) < 3:
+        l = len(curve)
         return l, curve, KneePoint(l, 0.0, fallback_used=True)
 
     knee = detect_knee(curve, sensitivity)
     if knee is None:
         diffs = _difference_curve(curve)
         best = max(range(len(diffs)), key=lambda i: diffs[i])
-        knee = KneePoint(curve.points[best][0], diffs[best], fallback_used=True)
+        knee = KneePoint(curve[best][0], diffs[best], fallback_used=True)
     return knee.c_star, curve, knee

@@ -332,11 +332,8 @@ def cmd_stats(args) -> int:
     _bind(["annotate_topic", "evaluation"])
     for topic in dataset:
         annotate_topic(topic)
-    report = evaluation.dataset_stats(dataset)
-    if args.json:
-        print(json.dumps(report.to_json_obj(), indent=2))
-    else:
-        print(report.to_text_table())
+    stats = evaluation.dataset_stats(dataset)
+    print(json.dumps(stats, indent=2) if args.json else evaluation.stats_table(stats))
     return 0
 
 
@@ -358,8 +355,8 @@ def cmd_knee_curve(args) -> int:
         f"date_f1__{_safe_name(ref.name)}" for ref in references
     ]
     rows = []
-    top = _select_top(items, len(curve.points))
-    for c, sc in curve.points:
+    top = _select_top(items, len(curve))
+    for c, sc in curve:
         pred = Timeline("top-c", [(day, ["-"]) for day, _ in top[:c]])
         row = [c, f"{sc:.6f}", int(c == l)]
         for ref in references:

@@ -157,6 +157,7 @@ class Topic(_Record):
         reference_timelines: list[Timeline] | None = None,
     ):
         self.name = name
+        articles.sort(key=lambda a: a.id)  # in place: no output depends on the order of articles.jsonl
         self.articles = articles
         self.queries = [] if queries is None else queries
         self.reference_timelines = [] if reference_timelines is None else reference_timelines

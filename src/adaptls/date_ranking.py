@@ -159,11 +159,6 @@ def _solve(gram, rhs, l2_lambda: float) -> tuple[list[float], float]:
     return x[:N_FEATURES], x[N_FEATURES]
 
 
-def solve_ridge(X, y, l2_lambda: float) -> tuple[list[float], float]:
-    """Closed-form ridge solution with an unregularized bias column."""
-    return _solve(*moments(X, y), l2_lambda)
-
-
 def training_rows(topic: Topic) -> tuple[list[list[float]], list[float]]:
     """A topic's feature rows and binary targets.
 

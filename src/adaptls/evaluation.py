@@ -219,48 +219,21 @@ def evaluate_pair(pred: Timeline, ref: Timeline, topic: str) -> PairResult:
 # dataset statistics
 
 
-class StatsReport(NamedTuple):
-    topics: int
-    timelines: int
-    avg_sent_num: float
-    avg_docs_num: float
-    avg_l: float
-    avg_k: float
-    avg_duration: float
-    avg_dur_comp: float
-    avg_sent_comp: float
-    avg_date_comp: float
-    avg_date_cov: float
-
-    def to_json_obj(self) -> dict:
-        return {
-            "Topics": self.topics,
-            "TLs": self.timelines,
-            "AvgSentNum": self.avg_sent_num,
-            "AvgDocsNum": self.avg_docs_num,
-            "AvgL": self.avg_l,
-            "AvgK": self.avg_k,
-            "AvgDuration": self.avg_duration,
-            "AvgDurComp": self.avg_dur_comp,
-            "AvgSentComp": self.avg_sent_comp,
-            "AvgDateComp": self.avg_date_comp,
-            "AvgDateCov": self.avg_date_cov,
-        }
-
-    def to_text_table(self) -> str:
-        rows = self.to_json_obj()
-        width = max(len(k) for k in rows)
-        lines = []
-        for key, value in rows.items():
-            if isinstance(value, int):
-                lines.append(f"{key:<{width}}  {value}")
-            else:
-                lines.append(f"{key:<{width}}  {value:.4f}")
-        return "\n".join(lines)
+STAT_NAMES = (
+    "AvgSentNum",
+    "AvgDocsNum",
+    "AvgL",
+    "AvgK",
+    "AvgDuration",
+    "AvgDurComp",
+    "AvgSentComp",
+    "AvgDateComp",
+    "AvgDateCov",
+)
 
 
-def dataset_stats(dataset: list[Topic]) -> StatsReport:
-    """Per-reference-timeline averages of the corpus/timeline statistics.
+def dataset_stats(dataset: list[Topic]) -> dict[str, int | float]:
+    """{"Topics", "TLs", then each of STAT_NAMES}: counts and per-timeline averages.
 
     Every average is taken over (topic, reference timeline) pairs; corpus
     quantities (sentence counts, durations, candidate dates) come from the
@@ -269,15 +242,7 @@ def dataset_stats(dataset: list[Topic]) -> StatsReport:
     """
     from .temporal import candidate_dates  # its date patterns are not needed by `eval`
 
-    sent_nums = []
-    doc_nums = []
-    lengths = []
-    ks = []
-    durations = []
-    dur_comps = []
-    sent_comps = []
-    date_comps = []
-    date_covs = []
+    rows = []  # one per (topic, reference timeline), a value per STAT_NAMES
     for topic in dataset:
         if not topic.reference_timelines:
             continue
@@ -287,32 +252,31 @@ def dataset_stats(dataset: list[Topic]) -> StatsReport:
         corpus_dates = {c.date for c in candidate_dates(topic)}
         duration = topic.duration_days
         for timeline in topic.reference_timelines:
-            sent_nums.append(total_sentences)
-            doc_nums.append(len(topic.articles))
-            lengths.append(timeline.length)
-            ks.append(timeline.total_sentences / timeline.length)
-            durations.append(duration)
-            dur_comps.append(timeline.length / max(duration, 1))
-            sent_comps.append(timeline.total_sentences / total_sentences)
-            date_comps.append(timeline.length / len(corpus_dates))
+            length = timeline.length
             covered = sum(1 for day in timeline.dates() if day in corpus_dates)
-            date_covs.append(covered / timeline.length)
-    if not lengths:
+            rows.append(
+                (
+                    total_sentences,
+                    len(topic.articles),
+                    length,
+                    timeline.total_sentences / length,
+                    duration,
+                    length / max(duration, 1),
+                    timeline.total_sentences / total_sentences,
+                    length / len(corpus_dates),
+                    covered / length,
+                )
+            )
+    if not rows:
         raise EmptyDataset("no topic has a reference timeline")
+    averages = {name: sum(column) / len(rows) for name, column in zip(STAT_NAMES, zip(*rows))}
+    return {"Topics": len(dataset), "TLs": len(rows), **averages}
 
-    def mean(values):
-        return sum(values) / len(values)
 
-    return StatsReport(
-        topics=len(dataset),
-        timelines=len(lengths),
-        avg_sent_num=mean(sent_nums),
-        avg_docs_num=mean(doc_nums),
-        avg_l=mean(lengths),
-        avg_k=mean(ks),
-        avg_duration=mean(durations),
-        avg_dur_comp=mean(dur_comps),
-        avg_sent_comp=mean(sent_comps),
-        avg_date_comp=mean(date_comps),
-        avg_date_cov=mean(date_covs),
+def stats_table(stats: dict[str, int | float]) -> str:
+    """`dataset_stats` as text: one name per line, counts as integers, averages to 4 places."""
+    width = max(map(len, stats))
+    return "\n".join(
+        f"{name:<{width}}  {value}" if isinstance(value, int) else f"{name:<{width}}  {value:.4f}"
+        for name, value in stats.items()
     )

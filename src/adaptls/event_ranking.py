@@ -100,9 +100,10 @@ def markov_cluster(
 ) -> MclResult:
     """Run MCL on the graph and read clusters off the attractor structure.
 
-    Rows with a positive diagonal claim the columns they support; claims
-    sharing a node are merged, and unclaimed nodes become singletons, so the
-    result always partitions the node set.
+    Each row with a positive diagonal (an attractor) joins the cluster of
+    every column it supports; a node no attractor supports stays a
+    singleton, so the result always partitions the node set.  Clusters are
+    listed by their smallest node.
     """
     if expansion < 2:
         raise ValueError("expansion must be >= 2")
@@ -122,11 +123,6 @@ def markov_cluster(
             converged = True
             break
 
-    claims = []
-    for i in range(graph.n):
-        if M[i, i] > 0.0:
-            claims.append(set(np.where(M[i, :] > 0.0)[0].tolist()) | {i})
-
     parent = list(range(graph.n))
 
     def find(a):
@@ -135,20 +131,15 @@ def markov_cluster(
             a = parent[a]
         return a
 
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
-    for claim in claims:
-        members = sorted(claim)
-        for other in members[1:]:
-            union(members[0], other)
+    for i in range(graph.n):
+        if M[i, i] > 0.0:
+            for j in np.where(M[i, :] > 0.0)[0].tolist():
+                parent[find(j)] = find(i)  # union of j's cluster and i's
 
     groups: dict[int, set[int]] = {}
-    for node in range(graph.n):
+    for node in range(graph.n):  # ascending, so groups come in order of their smallest node
         groups.setdefault(find(node), set()).add(node)
-    clusters = sorted((frozenset(g) for g in groups.values()), key=min)
+    clusters = [frozenset(g) for g in groups.values()]
     return MclResult(clusters, converged, iterations)
 
 

@@ -129,8 +129,7 @@ class Vectorizer:
 
 def build_vectorizer(topic: Topic) -> Vectorizer:
     """The topic's TF-IDF representation; requires annotate_topic to have run."""
-    articles = sorted(topic.articles, key=lambda a: a.id)
-    sentences = [s for a in articles for s in a.sentences]
+    sentences = topic.sentences()
     if not sentences:
         raise EmptyCorpus(f"topic {topic.name!r} has no sentences")
     token_lists = [s.tokens for s in sentences]
@@ -141,7 +140,7 @@ def build_vectorizer(topic: Topic) -> Vectorizer:
     by_mention: dict[Date, list[int]] = {}
     by_article: dict[str, list[int]] = {}
     start = 0  # an article's rows are the run that starts here
-    for article in articles:
+    for article in topic.articles:
         if article.sentences:
             end = start + len(article.sentences)
             by_pub_date.setdefault(article.publish_date, []).extend(range(start, end))

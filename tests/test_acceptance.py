@@ -17,7 +17,6 @@ from datetime import date, timedelta
 import pytest
 
 from adaptls.adaptive_selection import (
-    ScoreCurve,
     choose_length,
     detect_knee,
     normalize_scores,
@@ -56,7 +55,7 @@ def test_01_sc_monotonicity(capsys):
             normalize_scores([rng.random() for _ in range(n)]), reverse=True
         )
         curve = sc_curve(scores, n, 0.01)
-        values = [sc for _, sc in curve.points]
+        values = [sc for _, sc in curve]
         if any(b < a - 1e-12 for a, b in zip(values, values[1:])):
             passed = False
             break
@@ -67,8 +66,8 @@ def test_01_sc_monotonicity(capsys):
 
 
 def test_02_sc_point_values(capsys):
-    got_a = sc_curve([1.0, 0.5], 2, 0.01).points[-1][1]  # mean 0.75 + alpha
-    got_b = sc_curve([1.0, 0.5, 0.3], 3, 0.01).points[-1][1]  # mean 0.6 + alpha
+    got_a = sc_curve([1.0, 0.5], 2, 0.01)[-1][1]  # mean 0.75 + alpha
+    got_b = sc_curve([1.0, 0.5, 0.3], 3, 0.01)[-1][1]  # mean 0.6 + alpha
     passed = (
         abs(got_a - (-math.log(0.76))) <= 1e-12
         and abs(got_b - (-math.log(0.61))) <= 1e-12
@@ -89,11 +88,11 @@ def _brute_difference(points):
 
 
 def test_03_kneedle_oracle(capsys):
-    curve = ScoreCurve([(c, 1.0 - 1.0 / c) for c in range(1, 11)], 0.01)
+    curve = [(c, 1.0 - 1.0 / c) for c in range(1, 11)]
     knee = detect_knee(curve, 1.0)
-    diffs = _brute_difference(curve.points)
+    diffs = _brute_difference(curve)
     expected_c = max(range(len(diffs)), key=lambda i: diffs[i]) + 1
-    line = ScoreCurve([(c, 0.2 * c) for c in range(1, 11)], 0.01)
+    line = [(c, 0.2 * c) for c in range(1, 11)]
     passed = (
         knee is not None
         and knee.c_star == 3
@@ -118,7 +117,7 @@ def test_04_kneedle_robustness(capsys):
         for i in range(n):
             level += steep if i < bend else shallow
             ys.append(level + rng.gauss(0.0, 0.01))
-        curve = ScoreCurve([(i + 1, y) for i, y in enumerate(ys)], 0.01)
+        curve = [(i + 1, y) for i, y in enumerate(ys)]
         knee = detect_knee(curve, 1.0)
         if knee is not None and abs(knee.c_star - (bend + 1)) <= 1:
             hits += 1
@@ -228,7 +227,7 @@ def test_06_mcl_invariants(capsys):
 
 
 def test_07_ridge_oracle(capsys):
-    from adaptls.date_ranking import solve_ridge
+    from adaptls.date_ranking import moments, train_regressor
 
     rng = np.random.default_rng(77)
     passed = True
@@ -236,7 +235,8 @@ def test_07_ridge_oracle(capsys):
         X = rng.normal(size=(20, 9))
         y = rng.normal(size=20)
         lam = float(rng.uniform(0.01, 10.0))
-        weights, bias = solve_ridge(X, y, lam)
+        regressor = train_regressor([moments(X, y)], lam)
+        weights, bias = regressor.weights, regressor.bias
         A = np.hstack([X, np.ones((20, 1))])
         penalty = np.eye(10) * lam
         penalty[9, 9] = 0.0
@@ -296,7 +296,7 @@ def test_08_end_to_end_synthetic_recovery(capsys, tmp_path):
 
 
 def test_09_stats_on_mini_dataset(capsys, mini_dataset):
-    stats = dataset_stats(mini_dataset)
+    got = dataset_stats(mini_dataset)
     expected = {
         "Topics": 3,
         "TLs": 4,
@@ -310,7 +310,6 @@ def test_09_stats_on_mini_dataset(capsys, mini_dataset):
         "AvgDateComp": 17 / 24,
         "AvgDateCov": 1.0,
     }
-    got = stats.to_json_obj()
     passed = all(got[key] == pytest.approx(value) for key, value in expected.items())
     _verdict(capsys, 9, "dataset stats", passed)
     assert passed, got

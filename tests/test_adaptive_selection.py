@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from adaptls.adaptive_selection import (
-    ScoreCurve,
     choose_length,
     detect_knee,
     normalize_scores,
@@ -20,7 +19,7 @@ def selection_confidence(sorted_scores, c, alpha):
 
 def sc_at(scores, c, alpha=0.01):
     """The sc value sc_curve gives at c."""
-    points = dict(sc_curve(scores, c, alpha).points)
+    points = dict(sc_curve(scores, c, alpha))
     return points[c]
 
 
@@ -101,7 +100,7 @@ class TestSelectionConfidence:
         )
     )
     def test_nondecreasing_in_c_for_descending_scores(self, scores):
-        values = [sc for _, sc in sc_curve(scores, len(scores), 0.01).points]
+        values = [sc for _, sc in sc_curve(scores, len(scores), 0.01)]
         for a, b in zip(values, values[1:]):
             assert b >= a - 1e-12
 
@@ -110,21 +109,21 @@ class TestScCurve:
     def test_matches_pointwise_definition(self):
         scores = [1.0, 0.8, 0.3, 0.1, 0.0]
         curve = sc_curve(scores, 5, 0.01)
-        assert [c for c, _ in curve.points] == [1, 2, 3, 4, 5]
-        for c, sc in curve.points:
+        assert [c for c, _ in curve] == [1, 2, 3, 4, 5]
+        for c, sc in curve:
             assert sc == pytest.approx(selection_confidence(scores, c, 0.01), abs=1e-12)
 
     def test_c_max_truncates(self):
         curve = sc_curve([1.0, 0.5, 0.0, 0.0], 2, 0.01)
-        assert len(curve.points) == 2
+        assert len(curve) == 2
 
     def test_empty_raises(self):
         with pytest.raises(EmptyInput):
             sc_curve([], 3, 0.01)
 
 
-def _curve_from_ys(ys, alpha=0.01):
-    return ScoreCurve([(i + 1, y) for i, y in enumerate(ys)], alpha)
+def _curve_from_ys(ys):
+    return [(i + 1, y) for i, y in enumerate(ys)]
 
 
 class TestDetectKnee:
@@ -152,7 +151,7 @@ class TestDetectKnee:
         ys = [1.0 - 1.0 / c for c in range(1, 16)]
         curve = _curve_from_ys(ys)
         knee = detect_knee(curve, 1.0)
-        diffs = brute_force_difference(curve.points)
+        diffs = brute_force_difference(curve)
         assert knee.difference == pytest.approx(diffs[knee.c_star - 1], abs=1e-12)
 
     def test_concave_bend_found_on_piecewise_linear(self):
@@ -219,7 +218,7 @@ class TestChooseLength:
         l, curve, knee = choose_length([("a", 2.0), ("b", 1.0)])
         assert l == 2
         assert knee.fallback_used
-        assert len(curve.points) == 2
+        assert len(curve) == 2
 
     def test_single_item(self):
         l, _, knee = choose_length([("a", 5.0)])
@@ -234,7 +233,7 @@ class TestChooseLength:
         scores = [0.95, 0.9, 0.1, 0.08, 0.05, 0.03, 0.01]
         items = [(i, s) for i, s in enumerate(scores)]
         l, curve, _ = choose_length(items, c_max=4)
-        assert len(curve.points) == 4
+        assert len(curve) == 4
         assert 1 <= l <= 4
 
     def test_scale_invariance(self):
@@ -254,4 +253,4 @@ class TestChooseLength:
         l, curve, _ = choose_length(items)
         assert 1 <= l <= len(scores)
         # curve is built over the full list by default
-        assert len(curve.points) == len(scores)
+        assert len(curve) == len(scores)

@@ -1,6 +1,7 @@
 import csv
 import functools
 import gc
+import hashlib
 import json
 import math
 import multiprocessing
@@ -388,6 +389,43 @@ class TestArticleOrder:
         assert len(files["sorted"]) == 3 + 2 * (3 + 1)  # regressors; timelines and report
         assert files["sorted"] == files["shuffled"]
 
+    def test_tied_events_do_not_follow_the_file_order(self, tmp_path):
+        """a1 and b2 are singleton events that tie on score, date and size.
+
+        The event ranking keeps the first of them; that must be a1, the
+        first by id, whichever comes first in articles.jsonl.
+        """
+        articles = {
+            "a1": ("2021-03-01", "Crews pumped water all night."),
+            "b2": ("2021-03-01", "Stocks climbed sharply on strong earnings."),
+            "c3": ("2021-03-04", "The river fell back below its banks."),
+        }
+        reference = {
+            "name": "ref",
+            "entries": [
+                {"date": "2021-03-01", "summary": ["Water was pumped."]},
+                {"date": "2021-03-04", "summary": ["The river fell."]},
+            ],
+        }
+        runs = {"clust": ["--method", "clust", "--constraint", "base"], "adprm-e": ["--method", "adprm-e"]}
+        timelines = {name: [] for name in runs}
+        for order in (["a1", "b2", "c3"], ["b2", "a1", "c3"]):
+            root = tmp_path / "".join(order)
+            (root / "t").mkdir(parents=True)
+            lines = [
+                json.dumps({"id": aid, "publish_date": articles[aid][0], "title": "", "text": articles[aid][1]})
+                for aid in order
+            ]
+            (root / "t" / "articles.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+            (root / "t" / "timelines.jsonl").write_text(json.dumps(reference) + "\n", encoding="utf-8")
+            for name, flags in runs.items():
+                out = root / name
+                assert main(["run", "--dataset-dir", str(root), "--output-dir", str(out), *flags]) == 0
+                timelines[name].append(json.loads((out / "t__ref.json").read_text(encoding="utf-8")))
+        for first, second in timelines.values():
+            assert first == second
+            assert first["entries"][0] == {"date": "2021-03-01", "summary": [articles["a1"][1]]}
+
 
 class TestRunBase:
     def test_length_matches_each_reference(self, planted_dir, trained_dir, tmp_path):
@@ -735,6 +773,17 @@ class TestStats:
         assert main(["stats", str(mini_dir)]) == 0
         out = capsys.readouterr().out
         assert "AvgSentNum" in out and "AvgDateCov" in out
+
+    def test_output_bytes(self, mini_dir, capsys):
+        """The table and the --json object on stdout, byte for byte."""
+        digests = []
+        for flags in ([], ["--json"]):
+            assert main(["stats", str(mini_dir), *flags]) == 0
+            digests.append(hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest())
+        assert digests == [
+            "3bb5704a774b85c1a2e8cd7dbdf27828d1b6ca19d5d8b7bb746471d9716f19dd",
+            "f74cf048a35f15f3ebcd548423f97e74dce3c307778dca8ec3c3ea5f384f1e06",
+        ]
 
     def test_candidate_dates_once_per_topic(self, mini_dir, monkeypatch, capsys):
         """gamma has two references; its corpus figures are still computed once."""

@@ -15,7 +15,6 @@ from adaptls.date_ranking import (
     feature_matrix,
     moments,
     score_dates,
-    solve_ridge,
     train_regressor,
     training_rows,
 )
@@ -140,11 +139,17 @@ def test_feature_windows_equal_offset_loop(topic):
     assert np.array(X).tobytes() == expected.tobytes()
 
 
+def _fit(X, y, l2_lambda):
+    """(weights, bias) of the regressor trained on the one block (X, y)."""
+    regressor = train_regressor([moments(X, y)], l2_lambda)
+    return regressor.weights, regressor.bias
+
+
 class TestRidge:
     def test_interpolates_two_points_at_tiny_lambda(self):
         X = np.array([[1.0] + [0.0] * 8, [0.0] * 8 + [1.0]])
         y = np.array([0.0, 1.0])
-        weights, bias = solve_ridge(X, y, 1e-12)
+        weights, bias = _fit(X, y, 1e-12)
         preds = X @ weights + bias
         assert preds == pytest.approx([0.0, 1.0], abs=1e-6)
 
@@ -152,7 +157,7 @@ class TestRidge:
         rng = np.random.default_rng(0)
         X = rng.normal(size=(20, 9))
         y = rng.normal(size=20)
-        weights, bias = solve_ridge(X, y, 1e9)
+        weights, bias = _fit(X, y, 1e9)
         assert np.abs(weights).max() < 1e-6
         assert bias == pytest.approx(float(y.mean()), rel=1e-4)
 
@@ -162,7 +167,7 @@ class TestRidge:
             X = rng.normal(size=(20, 9))
             y = rng.normal(size=20)
             lam = float(rng.uniform(0.01, 10.0))
-            weights, bias = solve_ridge(X, y, lam)
+            weights, bias = _fit(X, y, lam)
             # independent oracle: explicit inverse of the regularized system
             A = np.hstack([X, np.ones((20, 1))])
             penalty = np.eye(10) * lam
@@ -176,13 +181,13 @@ class TestRidge:
         X = rng.normal(size=(20, 9))
         X[:, 3] = 0.0
         with pytest.raises(SingularSystem):
-            solve_ridge(X, rng.normal(size=20), 0.0)
+            _fit(X, rng.normal(size=20), 0.0)
 
     def test_overflowing_features_are_singular(self):
         rng = np.random.default_rng(6)
         X = rng.normal(size=(20, 9)) * 1e200
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SingularSystem, match="non-finite"):
-            solve_ridge(X, rng.normal(size=20), 1.0)
+            _fit(X, rng.normal(size=20), 1.0)
 
 
 def _training_topics():
@@ -246,7 +251,7 @@ class TestTrainAndScore:
             targets.extend(1.0 if c.date in ref_dates else 0.0 for c in cands)
         X = np.vstack(rows)
         y = np.array(targets)
-        weights, bias = solve_ridge(X, y, 0.5)
+        weights, bias = _fit(X, y, 0.5)
         assert np.abs(np.array(regressor.weights) - weights).max() < 1e-8
         assert abs(regressor.bias - bias) < 1e-8
 

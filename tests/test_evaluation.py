@@ -11,11 +11,13 @@ from adaptls.errors import EmptyDataset, EmptyReference, EmptyTimeline
 from adaptls.evaluation import (
     EvalReport,
     PRF,
+    STAT_NAMES,
     align_dates,
     dataset_stats,
     date_f1,
     entry_tokens,
     evaluate_pair,
+    stats_table,
 )
 
 import align_oracle
@@ -489,18 +491,18 @@ class TestDatasetStats:
             )
         )
         stats = dataset_stats([topic])
-        assert stats.topics == 1
-        assert stats.timelines == 1
-        assert stats.avg_sent_num == 3
-        assert stats.avg_docs_num == 2
-        assert stats.avg_l == 2
-        assert stats.avg_k == pytest.approx(1.5)
-        assert stats.avg_duration == 4
-        assert stats.avg_dur_comp == pytest.approx(2 / 4)
-        assert stats.avg_sent_comp == pytest.approx(3 / 3)
+        assert stats["Topics"] == 1
+        assert stats["TLs"] == 1
+        assert stats["AvgSentNum"] == 3
+        assert stats["AvgDocsNum"] == 2
+        assert stats["AvgL"] == 2
+        assert stats["AvgK"] == pytest.approx(1.5)
+        assert stats["AvgDuration"] == 4
+        assert stats["AvgDurComp"] == pytest.approx(2 / 4)
+        assert stats["AvgSentComp"] == pytest.approx(3 / 3)
         # candidate dates: the two publish dates only
-        assert stats.avg_date_comp == pytest.approx(2 / 2)
-        assert stats.avg_date_cov == pytest.approx(1.0)
+        assert stats["AvgDateComp"] == pytest.approx(2 / 2)
+        assert stats["AvgDateCov"] == pytest.approx(1.0)
 
     def test_single_day_topic_duration_floor(self):
         from adaptls.corpus import Article, Sentence, Topic
@@ -516,26 +518,26 @@ class TestDatasetStats:
             )
         )
         stats = dataset_stats([topic])
-        assert stats.avg_duration == 0
-        assert stats.avg_dur_comp == 1.0  # length / max(duration, 1)
+        assert stats["AvgDuration"] == 0
+        assert stats["AvgDurComp"] == 1.0  # length / max(duration, 1)
 
     def test_frozen_mini_dataset_values(self, mini_dataset):
         stats = dataset_stats(mini_dataset)
-        assert stats.topics == 3
-        assert stats.timelines == 4
-        assert stats.avg_sent_num == pytest.approx(4.75)
-        assert stats.avg_docs_num == pytest.approx(2.25)
-        assert stats.avg_l == pytest.approx(1.75)
-        assert stats.avg_k == pytest.approx(1.125)
-        assert stats.avg_duration == pytest.approx(4.75)
-        assert stats.avg_dur_comp == pytest.approx(6 / 11)
-        assert stats.avg_sent_comp == pytest.approx(0.4125)
-        assert stats.avg_date_comp == pytest.approx(17 / 24)
-        assert stats.avg_date_cov == pytest.approx(1.0)
+        assert stats["Topics"] == 3
+        assert stats["TLs"] == 4
+        assert stats["AvgSentNum"] == pytest.approx(4.75)
+        assert stats["AvgDocsNum"] == pytest.approx(2.25)
+        assert stats["AvgL"] == pytest.approx(1.75)
+        assert stats["AvgK"] == pytest.approx(1.125)
+        assert stats["AvgDuration"] == pytest.approx(4.75)
+        assert stats["AvgDurComp"] == pytest.approx(6 / 11)
+        assert stats["AvgSentComp"] == pytest.approx(0.4125)
+        assert stats["AvgDateComp"] == pytest.approx(17 / 24)
+        assert stats["AvgDateCov"] == pytest.approx(1.0)
 
     def test_json_and_table_render(self, mini_dataset):
         stats = dataset_stats(mini_dataset)
-        obj = stats.to_json_obj()
-        assert obj["Topics"] == 3 and obj["TLs"] == 4
-        table = stats.to_text_table()
+        assert list(stats) == ["Topics", "TLs", *STAT_NAMES]
+        assert stats["Topics"] == 3 and stats["TLs"] == 4
+        table = stats_table(stats)
         assert "AvgDateCov" in table
