@@ -11,8 +11,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .config import DEFAULT_ALPHA, DEFAULT_SENSITIVITY
-from .errors import EmptyInput, TooFewPoints
+from .config import RunConfig
+from .errors import EmptyInput
 
 
 class KneePoint(NamedTuple):
@@ -22,9 +22,7 @@ class KneePoint(NamedTuple):
 
 
 def normalize_scores(scores: list[float]) -> list[float]:
-    """Min-max normalize finite scores to [0, 1]; a constant input maps to all ones."""
-    if not scores:
-        raise EmptyInput("no scores to normalize")
+    """Min-max normalize finite scores (at least one) to [0, 1]; a constant input maps to all ones."""
     lo = min(scores)
     hi = max(scores)
     if hi == lo:
@@ -37,8 +35,6 @@ def normalize_scores(scores: list[float]) -> list[float]:
 
 def sc_curve(scores: list[float], c_max: int, alpha: float) -> list[tuple[int, float]]:
     """The (c, sc) points of the selection-confidence curve, c = 1..min(c_max, len(scores))."""
-    if not scores:
-        raise EmptyInput("no scores")
     limit = min(c_max, len(scores))
     running = 0.0
     points = []
@@ -64,7 +60,7 @@ def _difference_curve(curve: list[tuple[int, float]]) -> list[float]:
 
 
 def detect_knee(curve: list[tuple[int, float]], sensitivity: float) -> KneePoint | None:
-    """Kneedle knee detection on the normalized difference curve of the (c, sc) points.
+    """Kneedle knee detection on the normalized difference curve of 3 or more (c, sc) points.
 
     A local maximum of the difference curve becomes the knee once the
     difference drops below ``d_max - sensitivity * mean_x_spacing`` before a
@@ -79,8 +75,6 @@ def detect_knee(curve: list[tuple[int, float]], sensitivity: float) -> KneePoint
     line).
     """
     n = len(curve)
-    if n < 3:
-        raise TooFewPoints(f"need >= 3 points, got {n}")
     diffs = _difference_curve(curve)
     spacing = 1.0 / (n - 1)  # x is min-max normalized, so spacing is uniform
     dip_gate = -sensitivity * spacing / 2.0
@@ -104,31 +98,27 @@ def detect_knee(curve: list[tuple[int, float]], sensitivity: float) -> KneePoint
 
 
 def choose_length(
-    scored_items: list[tuple[object, float]],
-    alpha: float = DEFAULT_ALPHA,
-    sensitivity: float = DEFAULT_SENSITIVITY,
-    c_max: int | None = None,
+    scores: list[float], config: RunConfig
 ) -> tuple[int, list[tuple[int, float]], KneePoint]:
-    """Pick the timeline length for a descending-scored item list.
+    """Pick the timeline length for the descending scores of the ranked items.
 
-    Scores are min-max normalized, the SC curve is built up to c_max
-    (default: all items) and the Kneedle knee gives l.  With no qualifying
-    knee the global maximum of the difference curve is used instead; with
-    fewer than three items l is simply the item count.  Both fallbacks are
-    flagged on the returned KneePoint.  Returns (l, the curve's (c, sc)
-    points, knee).
+    Scores are min-max normalized, the SC curve is built with the config's
+    alpha up to its c_max (None: every item), and the Kneedle knee at its
+    sensitivity gives l.  With no qualifying knee the global maximum of the
+    difference curve is used instead; with fewer than three items l is
+    simply the item count.  Both fallbacks are flagged on the returned
+    KneePoint.  Returns (l, the curve's (c, sc) points, knee).
     """
-    if not scored_items:
+    if not scores:
         raise EmptyInput("no scored items")
-    scores = normalize_scores([score for _, score in scored_items])
-    limit = c_max if c_max is not None else len(scores)
-    curve = sc_curve(scores, limit, alpha)
+    limit = config.c_max if config.c_max is not None else len(scores)
+    curve = sc_curve(normalize_scores(scores), limit, config.alpha)
 
     if len(curve) < 3:
         l = len(curve)
         return l, curve, KneePoint(l, 0.0, fallback_used=True)
 
-    knee = detect_knee(curve, sensitivity)
+    knee = detect_knee(curve, config.sensitivity)
     if knee is None:
         diffs = _difference_curve(curve)
         best = max(range(len(diffs)), key=lambda i: diffs[i])

@@ -157,16 +157,7 @@ def _score_items(topic: Topic, config: RunConfig, vec):
     if config.method in DATE_METHODS:
         items = _score_dates(config, topic)
     else:
-        scored, _ = event_ranking.detect_events(
-            topic,
-            threshold=config.graph_threshold,
-            expansion=config.mcl_expansion,
-            inflation=config.mcl_inflation,
-            max_iter=config.mcl_max_iter,
-            eps=config.mcl_eps,
-            prune=config.mcl_prune,
-            vec=vec,
-        )
+        scored, _ = event_ranking.detect_events(topic, config, vec)
         items = [(cluster.event_date, cluster, score) for cluster, score in scored]
     pools = ((day, candidate_sentences(vec, day, cluster), score) for day, cluster, score in items)
     return [item for item in pools if item[1]]
@@ -180,16 +171,6 @@ def _select_top(items, limit: int):
             break
         selected.setdefault(day, rows)
     return list(selected.items())
-
-
-def _choose_length(items, config: RunConfig):
-    """(l, curve, knee) of the ranked items under the configured knee options."""
-    return adaptive_selection.choose_length(
-        [(day, score) for day, _, score in items],
-        alpha=config.alpha,
-        sensitivity=config.sensitivity,
-        c_max=config.c_max,
-    )
 
 
 def _run_topic(topic_dir: Path, config: RunConfig):
@@ -208,7 +189,7 @@ def _run_topic(topic_dir: Path, config: RunConfig):
     summarizer = config.effective_summarizer()
     adaptive = config.constraint == "adaptive"
     if adaptive:
-        l, _, point = _choose_length(items, config)
+        l, _, point = adaptive_selection.choose_length([score for *_, score in items], config)
         knee = point._asdict()
         k = expert_k(topic.reference_timelines) if config.k_policy == "expert" else 1
 
@@ -318,11 +299,11 @@ def cmd_eval(args) -> int:
             )
     out_prefix = Path(args.out) if args.out else pred_dir / "report"
     out_prefix.parent.mkdir(parents=True, exist_ok=True)
-    out_prefix.with_suffix(".json").write_text(
+    out_prefix.with_name(out_prefix.name + ".json").write_text(
         json.dumps(report.to_json_obj(), indent=2) + "\n", encoding="utf-8"
     )
     table = report.to_text_table(label=args.label)
-    out_prefix.with_suffix(".txt").write_text(table + "\n", encoding="utf-8")
+    out_prefix.with_name(out_prefix.name + ".txt").write_text(table + "\n", encoding="utf-8")
     print(table)
     return 0
 
@@ -349,7 +330,7 @@ def cmd_knee_curve(args) -> int:
     topic = _prepare(Path(config.dataset_dir) / args.topic, config)
     items = _score_items(topic, config, build_vectorizer(topic))
 
-    l, curve, knee = _choose_length(items, config)
+    l, curve, knee = adaptive_selection.choose_length([score for *_, score in items], config)
     references = topic.reference_timelines
     header = ["c", "sc", "is_knee"] + [
         f"date_f1__{_safe_name(ref.name)}" for ref in references
@@ -427,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="evaluate generated timelines")
     p_eval.add_argument("--pred", required=True)
     p_eval.add_argument("--dataset", required=True)
-    p_eval.add_argument("--out", default=None)
+    p_eval.add_argument("--out", metavar="PREFIX", help="write PREFIX.json and PREFIX.txt (default PRED/report)")
     p_eval.add_argument("--label", default="run")
     p_eval.set_defaults(func=cmd_eval)
 

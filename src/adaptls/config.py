@@ -4,6 +4,8 @@
 `RunConfig.validate` checks each field's type and range, and `read_config`
 reads a ``--config`` file.  The ranges come from the methods: Kneedle needs
 a sensitivity >= 0, and MCL an inflation > 1 and an expansion power >= 2.
+The stages take the RunConfig itself and read their options off it; a
+field's default is its only default, and `validate` its only range check.
 The module imports only the standard library, so checking a config loads no
 numpy.
 """
@@ -26,15 +28,7 @@ CONSTRAINTS = ("base", "adaptive")
 K_POLICIES = ("expert", "one")
 SUMMARIZERS = ("rank", "opt")
 
-DEFAULT_ALPHA = 0.01
-DEFAULT_SENSITIVITY = 1.0
-DEFAULT_THRESHOLD = 0.1
-DEFAULT_EXPANSION = 2
-DEFAULT_INFLATION = 2.0
-DEFAULT_MAX_ITER = 100
-DEFAULT_EPS = 1e-6
-DEFAULT_PRUNE = 1e-5
-DEFAULT_LAMBDA = 1.0
+DEFAULT_LAMBDA = 1.0  # `train --lambda`; every run option's default is a RunConfig field
 
 # name -> (rule as stated in the error, test on a finite number)
 _NUMBER_RULES = {
@@ -88,15 +82,15 @@ class RunConfig(NamedTuple):
     k_policy: str = "one"
     summarizer: str | None = None  # None = method default
     regressors_dir: str | None = None
-    alpha: float = DEFAULT_ALPHA
-    sensitivity: float = DEFAULT_SENSITIVITY
+    alpha: float = 0.01
+    sensitivity: float = 1.0
     c_max: int | None = None  # None = every scored item
-    graph_threshold: float = DEFAULT_THRESHOLD
-    mcl_expansion: int = DEFAULT_EXPANSION
-    mcl_inflation: float = DEFAULT_INFLATION
-    mcl_max_iter: int = DEFAULT_MAX_ITER
-    mcl_eps: float = DEFAULT_EPS
-    mcl_prune: float = DEFAULT_PRUNE
+    graph_threshold: float = 0.1
+    mcl_expansion: int = 2
+    mcl_inflation: float = 2.0
+    mcl_max_iter: int = 100
+    mcl_eps: float = 1e-6
+    mcl_prune: float = 1e-5
     use_query_filter: bool = False
     jobs: int = 1
 

@@ -19,7 +19,7 @@ from operator import add, mul
 from pathlib import Path
 from typing import NamedTuple
 
-from .config import DEFAULT_LAMBDA, is_finite_number
+from .config import is_finite_number
 from .corpus import Topic, read_json
 from .errors import EmptyDataset, ParseError, SingularSystem
 from .temporal import DateCandidate, candidate_dates
@@ -173,7 +173,7 @@ def training_rows(topic: Topic) -> tuple[list[list[float]], list[float]]:
     return X, y
 
 
-def train_regressor(blocks: list[Moments], l2_lambda: float = DEFAULT_LAMBDA) -> Regressor:
+def train_regressor(blocks: list[Moments], l2_lambda: float) -> Regressor:
     """Fit the date regressor on the `moments` of its training blocks, added in order."""
     if not blocks:
         raise EmptyDataset("no training topic has a reference timeline")

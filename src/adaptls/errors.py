@@ -37,10 +37,6 @@ class EmptyReference(AdaptlsError):
     """A reference timeline is empty."""
 
 
-class TooFewPoints(AdaptlsError):
-    """Knee detection needs at least three curve points."""
-
-
 class SingularSystem(AdaptlsError):
     """The (regularized) normal-equation matrix is not invertible."""
 

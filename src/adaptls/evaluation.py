@@ -13,10 +13,12 @@ from __future__ import annotations
 
 from collections import Counter
 from datetime import date as Date
+from functools import reduce
+from operator import add
 from typing import NamedTuple
 
 from .corpus import Timeline, Topic, _Record, tokenize
-from .errors import EmptyCorpus, EmptyDataset, EmptyReference, EmptyTimeline
+from .errors import EmptyCorpus, EmptyDataset
 
 
 class PRF(NamedTuple):
@@ -35,11 +37,15 @@ class PRF(NamedTuple):
 _ZERO = PRF(0.0, 0.0, 0.0)
 
 
+def _total(values) -> float:
+    """The floats `values` added left to right from 0.0, on every Python version
+    (`sum` adds floats with compensated summation from 3.12 on)."""
+    return reduce(add, values, 0.0)
+
+
 def date_f1(pred: Timeline, ref: Timeline) -> PRF:
-    """Exact-match F1 over the two date sets."""
+    """Exact-match F1 over the two date sets; the reference is not empty."""
     ref_dates = set(ref.dates())
-    if not ref_dates:
-        raise EmptyReference(f"reference timeline {ref.name!r} is empty")
     pred_dates = set(pred.dates())
     overlap = len(pred_dates & ref_dates)
     precision = overlap / len(pred_dates) if pred_dates else 0.0
@@ -91,13 +97,11 @@ def align_dates(
 ) -> list[tuple[Date, Date, float]]:
     """m:1 alignment of generated dates onto reference dates.
 
-    Takes both timelines as `entry_tokens`, and optionally their unigram
-    tables (`_tables(tokens, 1)` of each), else builds them.  Each
-    generated date picks the reference date maximizing rouge_1 F1 * gamma;
-    ties go to the temporally nearest, then earlier, reference date.
+    Takes both timelines, neither empty, as `entry_tokens`, and optionally
+    their unigram tables (`_tables(tokens, 1)` of each), else builds them.
+    Each generated date picks the reference date maximizing rouge_1 F1 *
+    gamma; ties go to the temporally nearest, then earlier, reference date.
     """
-    if not pred_tokens or not ref_tokens:
-        raise EmptyTimeline("align_dates needs two non-empty timelines")
     pred_grams, ref_grams = unigrams or (_tables(pred_tokens, 1), _tables(ref_tokens, 1))
     refs = [(day, len(tokens), ref_grams[day]) for day, tokens in ref_tokens.items()]
     alignment = []
@@ -140,10 +144,8 @@ def _align_rouge(pred: Timeline, ref: Timeline) -> tuple[PRF, PRF]:
             value = f1 * gamma
             contributions[p_day] = value
             best_per_ref[r_day] = max(best_per_ref.get(r_day, 0.0), value)
-        precision = sum(contributions.values()) / len(pred.entries)
-        recall = sum(best_per_ref.get(day, 0.0) for day in ref.dates()) / len(
-            ref.entries
-        )
+        precision = _total(contributions.values()) / len(pred.entries)
+        recall = _total(best_per_ref.get(day, 0.0) for day in ref.dates()) / len(ref.entries)
         scores.append(PRF.from_pr(precision, recall))
     return scores[0], scores[1]
 
@@ -171,9 +173,9 @@ class EvalReport(_Record):
             return {"AR1-F": 0.0, "AR2-F": 0.0, "DATE-F1": 0.0}
         n = len(self.pairs)
         return {
-            "AR1-F": sum(p.ar1.f1 for p in self.pairs) / n,
-            "AR2-F": sum(p.ar2.f1 for p in self.pairs) / n,
-            "DATE-F1": sum(p.date_f1.f1 for p in self.pairs) / n,
+            "AR1-F": _total(p.ar1.f1 for p in self.pairs) / n,
+            "AR2-F": _total(p.ar2.f1 for p in self.pairs) / n,
+            "DATE-F1": _total(p.date_f1.f1 for p in self.pairs) / n,
         }
 
     def to_json_obj(self) -> dict:
@@ -269,7 +271,7 @@ def dataset_stats(dataset: list[Topic]) -> dict[str, int | float]:
             )
     if not rows:
         raise EmptyDataset("no topic has a reference timeline")
-    averages = {name: sum(column) / len(rows) for name, column in zip(STAT_NAMES, zip(*rows))}
+    averages = {name: _total(column) / len(rows) for name, column in zip(STAT_NAMES, zip(*rows))}
     return {"Topics": len(dataset), "TLs": len(rows), **averages}
 
 

@@ -15,16 +15,8 @@ from datetime import date as Date
 
 import numpy as np
 
-from .config import (
-    DEFAULT_EPS,
-    DEFAULT_EXPANSION,
-    DEFAULT_INFLATION,
-    DEFAULT_MAX_ITER,
-    DEFAULT_PRUNE,
-    DEFAULT_THRESHOLD,
-)
+from .config import RunConfig
 from .corpus import Topic, tokenize
-from .errors import EmptyCorpus
 from .temporal import candidate_dates
 from .tfidf import Vectorizer, build_vectorizer
 
@@ -52,17 +44,14 @@ class MclResult:
 
 
 def build_similarity_graph(
-    topic: Topic,
-    threshold: float = DEFAULT_THRESHOLD,
-    vec: Vectorizer | None = None,
+    topic: Topic, config: RunConfig, vec: Vectorizer | None = None
 ) -> SimilarityGraph:
-    """Cosine graph over articles; edges below `threshold` are dropped.
+    """Cosine graph over articles; edges below the config's graph_threshold are dropped.
 
     An article's row is the TF-IDF of its title plus its first
-    LEAD_SENTENCES sentences.
+    LEAD_SENTENCES sentences, in `vec` (by default the topic's own
+    vectorizer, which refuses a topic without sentences).
     """
-    if not topic.articles:
-        raise EmptyCorpus(f"topic {topic.name!r} has no articles")
     if vec is None:
         vec = build_vectorizer(topic)
     rows = vec.transform(
@@ -73,7 +62,7 @@ def build_similarity_graph(
     weights = np.eye(n)
     for i in range(n - 1):
         cos = rows.dots(rows.row(i, len(vec.idf)))[i + 1 :]
-        cos = np.where((cos >= threshold) & (cos > 0.0), np.minimum(cos, 1.0), 0.0)
+        cos = np.where((cos >= config.graph_threshold) & (cos > 0.0), np.minimum(cos, 1.0), 0.0)
         weights[i, i + 1 :] = weights[i + 1 :, i] = cos
     return SimilarityGraph(n, weights)
 
@@ -90,36 +79,25 @@ def _normalize_columns(matrix: np.ndarray) -> np.ndarray:
     return matrix / sums
 
 
-def markov_cluster(
-    graph: SimilarityGraph,
-    expansion: int = DEFAULT_EXPANSION,
-    inflation: float = DEFAULT_INFLATION,
-    max_iter: int = DEFAULT_MAX_ITER,
-    eps: float = DEFAULT_EPS,
-    prune: float = DEFAULT_PRUNE,
-) -> MclResult:
+def markov_cluster(graph: SimilarityGraph, config: RunConfig) -> MclResult:
     """Run MCL on the graph and read clusters off the attractor structure.
 
-    Each row with a positive diagonal (an attractor) joins the cluster of
-    every column it supports; a node no attractor supports stays a
-    singleton, so the result always partitions the node set.  Clusters are
-    listed by their smallest node.
+    The config's mcl_* fields set the expansion power, inflation, iteration
+    cap, convergence eps and pruning floor.  Each row with a positive
+    diagonal (an attractor) joins the cluster of every column it supports;
+    a node no attractor supports stays a singleton, so the result always
+    partitions the node set.  Clusters are listed by their smallest node.
     """
-    if expansion < 2:
-        raise ValueError("expansion must be >= 2")
-    if not inflation > 1.0:  # NaN included
-        raise ValueError("inflation must be > 1")
-
     M = _normalize_columns(graph.weights.astype(float))
     converged = False
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, config.mcl_max_iter + 1):
         previous = M
-        M = np.linalg.matrix_power(M, expansion)
-        M = np.power(M, inflation)
-        M[M < prune] = 0.0
+        M = np.linalg.matrix_power(M, config.mcl_expansion)
+        M = np.power(M, config.mcl_inflation)
+        M[M < config.mcl_prune] = 0.0
         M = _normalize_columns(M)
-        if np.abs(M - previous).max() < eps:
+        if np.abs(M - previous).max() < config.mcl_eps:
             converged = True
             break
 
@@ -182,17 +160,10 @@ def score_events(clusters: list[EventCluster]) -> list[tuple[EventCluster, float
 
 
 def detect_events(
-    topic: Topic,
-    threshold: float = DEFAULT_THRESHOLD,
-    expansion: int = DEFAULT_EXPANSION,
-    inflation: float = DEFAULT_INFLATION,
-    max_iter: int = DEFAULT_MAX_ITER,
-    eps: float = DEFAULT_EPS,
-    prune: float = DEFAULT_PRUNE,
-    vec: Vectorizer | None = None,
+    topic: Topic, config: RunConfig, vec: Vectorizer
 ) -> tuple[list[tuple[EventCluster, float]], MclResult]:
     """Full event pipeline: graph, MCL, dating, scoring."""
-    graph = build_similarity_graph(topic, threshold, vec)
-    result = markov_cluster(graph, expansion, inflation, max_iter, eps, prune)
+    graph = build_similarity_graph(topic, config, vec)
+    result = markov_cluster(graph, config)
     clusters = make_event_clusters(result.clusters, topic)
     return score_events(clusters), result

@@ -8,7 +8,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .config import SUMMARIZERS
 from .corpus import Timeline, Topic
 from .errors import EmptyTimeline
 from .tfidf import Rows, Vectorizer
@@ -54,13 +53,11 @@ def _block(rows: list[int], vec: Vectorizer) -> tuple[Rows, np.ndarray]:
 
 
 def centroid_rank(rows: list[int], vec: Vectorizer, k: int) -> list[int]:
-    """Top-k rows by cosine to the candidate centroid, in row order.
+    """Top-k of the candidate rows (at least one) by cosine to their centroid, in row order.
 
     Near-duplicates of an already selected row (cosine >= 0.8) are skipped;
     ties keep the incoming order.
     """
-    if not rows:
-        return []
     block, to_centroid = _block(rows, vec)
     nearest = np.zeros(len(rows))  # highest cosine to any chosen row
     chosen: list[int] = []
@@ -75,15 +72,13 @@ def centroid_rank(rows: list[int], vec: Vectorizer, k: int) -> list[int]:
 
 
 def centroid_opt(rows: list[int], vec: Vectorizer, k: int) -> list[int]:
-    """Greedy set construction maximizing cosine(summary vector, centroid).
+    """Greedy set of the candidate rows (at least one) maximizing cosine(summary, centroid).
 
     At each step the candidate whose addition gives the highest cosine of the
     normalized summed summary vector to the centroid is added (ties go to
     the earlier row); the build stops at k rows or as soon as no candidate
     improves the objective.  Returns the chosen rows in row order.
     """
-    if not rows:
-        return []
     block, to_centroid = _block(rows, vec)
     # |s + v|^2 = |s|^2 + 2 s.v + |v|^2, where |v|^2 is 1, or 0 for an empty
     # row.  It is summed like s.v, so a copy of a lone chosen row ties exactly.
@@ -122,8 +117,6 @@ def build_timeline(
     ranked item.  A date with an empty pool raises EmptyTimeline: callers
     select only items that can be summarized.
     """
-    if method not in SUMMARIZERS:
-        raise ValueError(f"unknown summarizer method {method!r}")
     summarize = centroid_rank if method == "rank" else centroid_opt
     entries = []
     for day, rows in selected:

@@ -27,12 +27,15 @@ def mini_dataset():
 
 @pytest.fixture
 def fresh_python():
-    """Runs `python ARGS` in a new interpreter on this checkout's sources; its stdout."""
+    """Runs `python ARGS` in a new interpreter on this checkout's sources; its stdout.
+
+    The interpreter is this one unless `python=` names another.
+    """
     path = os.pathsep.join(filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1")
 
-    def run(*args) -> str:
-        result = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+    def run(*args, python=sys.executable) -> str:
+        result = subprocess.run([python, *args], env=env, capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
         return result.stdout
 

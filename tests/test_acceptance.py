@@ -23,6 +23,7 @@ from adaptls.adaptive_selection import (
     sc_curve,
 )
 from adaptls.cli import main
+from adaptls.config import RunConfig
 from adaptls.corpus import Timeline
 from adaptls.evaluation import (
     PRF,
@@ -211,11 +212,11 @@ def test_06_mcl_invariants(capsys):
     two_k4 = np.zeros((8, 8))
     two_k4[:4, :4] = block(4, 0.8)
     two_k4[4:, 4:] = block(4, 0.8)
-    got_k4 = markov_cluster(SimilarityGraph(8, two_k4))
+    got_k4 = markov_cluster(SimilarityGraph(8, two_k4), RunConfig())
 
     barbell = two_k4.copy()
     barbell[3, 4] = barbell[4, 3] = 0.05
-    got_barbell = markov_cluster(SimilarityGraph(8, barbell))
+    got_barbell = markov_cluster(SimilarityGraph(8, barbell), RunConfig())
     oracle_barbell = reference_mcl(barbell)
 
     passed = (

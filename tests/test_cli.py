@@ -7,6 +7,8 @@ import math
 import multiprocessing
 import random
 import shutil
+import subprocess
+import sys
 import tempfile
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -746,6 +748,15 @@ class TestEval:
             assert pair["date_f1"] == pair["ar1"] == pair["ar2"] == expected
         assert len(pairs) == len(scored) + 1
 
+    def test_out_prefix_keeps_its_dots(self, planted_dir, tmp_path):
+        """`--out PREFIX` appends .json and .txt: two prefixes that differ after a dot write four files."""
+        pred_dir = self._reference_predictions(planted_dir, tmp_path)
+        for prefix in ("a0.01", "a0.05"):
+            out = str(tmp_path / "sweep" / prefix)
+            assert main(["eval", "--pred", str(pred_dir), "--dataset", str(planted_dir), "--out", out]) == 0
+        files = sorted(path.name for path in (tmp_path / "sweep").iterdir())
+        assert files == ["a0.01.json", "a0.01.txt", "a0.05.json", "a0.05.txt"]
+
     def test_missing_prediction_file_errors(self, planted_dir, tmp_path, capsys):
         pred_dir = tmp_path / "empty"
         pred_dir.mkdir()
@@ -799,6 +810,45 @@ class TestStats:
         monkeypatch.setattr(temporal, "candidate_dates", counting)
         assert main(["stats", str(mini_dir), "--json"]) == 0
         assert calls == ["alpha", "beta", "gamma"]
+
+
+def _other_interpreters() -> list[str]:
+    """Every python3.N on PATH (N = 10-14) that starts and is not this interpreter's minor version."""
+    found = []
+    for minor in range(10, 15):
+        path = shutil.which(f"python3.{minor}")
+        if minor != sys.version_info.minor and path:
+            if subprocess.run([path, "-c", "pass"], capture_output=True, timeout=60).returncode == 0:
+                found.append(path)
+    return found
+
+
+class TestAcrossInterpreters:
+    def test_eval_and_stats_bytes(self, mini_dir, tmp_path, capsys, fresh_python):
+        """`eval` on mini's adprm-e predictions and `stats --json` on the benchmark's dates-raw
+        corpus (seed 1) write here the bytes that every other Python found writes.  Neither
+        command loads numpy; from 3.12 on `sum` of floats would round differently."""
+        others = _other_interpreters()
+        if not others:
+            pytest.skip("no other python3.N (N = 10-14) on PATH starts")
+        pred = tmp_path / "pred"
+        assert main(["run", "--dataset-dir", str(mini_dir), "--output-dir", str(pred), "--method", "adprm-e"]) == 0
+        fresh_python("-c", GENERATE, "dates-raw", "1", str(tmp_path / "bench"))
+        capsys.readouterr()
+        stats = ["stats", str(tmp_path / "bench" / "dataset"), "--json"]
+
+        def evaluate(name):
+            return ["eval", "--pred", str(pred), "--dataset", str(mini_dir), "--out", str(tmp_path / name)]
+
+        def written(name, stdout):
+            return [stdout] + [(tmp_path / f"{name}{suffix}").read_bytes() for suffix in (".json", ".txt")]
+
+        assert main(evaluate("here")) == 0 and main(stats) == 0
+        expected = written("here", capsys.readouterr().out)
+        for i, python in enumerate(others):
+            stdout = fresh_python("-m", "adaptls.cli", *evaluate(f"other{i}"), python=python)
+            stdout += fresh_python("-m", "adaptls.cli", *stats, python=python)
+            assert written(f"other{i}", stdout) == expected, python
 
 
 class TestKneeCurve:
@@ -1423,12 +1473,17 @@ class TestMalformedInput:
             (["--mcl-inflation", "nan"], "", "ValueError"),
             (["--mcl-eps", "-1"], "", "ValueError"),
             (["--mcl-prune", "2"], "", "ValueError"),
+            # the only checks of MCL's expansion and inflation and of the summarizer's name
+            (["--mcl-expansion", "1"], "", "ValueError"),
+            (["--mcl-inflation", "1"], "", "ValueError"),
+            ([], '{"summarizer": "best"}', "ValueError"),
         ],
         ids=[
             "config-array", "config-string-alpha", "config-missing", "config-not-utf8",
             "config-string-flag", "config-inf-alpha", "config-l2-lambda", "nan-alpha",
             "negative-alpha", "negative-sensitivity", "threshold-2", "max-iter-0",
-            "nan-inflation", "negative-eps", "prune-2",
+            "nan-inflation", "negative-eps", "prune-2", "expansion-1", "inflation-1",
+            "config-unknown-summarizer",
         ],
     )
     def test_run_options_checked(self, tmp_path, capsys, flags, config, error):

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from adaptls import corpus
 from adaptls.cli import main
+from adaptls.config import RunConfig
 from adaptls.corpus import (
     EARLIEST_PUBLISH_DATE,
     LATEST_PUBLISH_DATE,
@@ -251,7 +252,7 @@ class TestLoadTopic:
         candidates, features = feature_matrix(topic)
         assert candidates[0].date == first and candidates[-1].date == edge
         assert np.isfinite(features).all()
-        [(event, _)] = detect_events(topic)[0]
+        [(event, _)] = detect_events(topic, RunConfig(), build_vectorizer(topic))[0]
         assert event.event_date in {c.date for c in candidates}
 
         article["publish_date"] = (edge + timedelta(days=beyond)).isoformat()

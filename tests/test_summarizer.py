@@ -115,10 +115,6 @@ def _one_article(raws):
 
 
 class TestCentroidRank:
-    def test_empty_input(self):
-        topic = _topic([(date(2020, 1, 1), ["A."])])
-        assert centroid_rank([], build_vectorizer(topic), 2) == []
-
     def test_selects_highest_cosine_oracle(self):
         _, vec, rows = _one_article(
             [
@@ -164,10 +160,6 @@ class TestCentroidRank:
 
 
 class TestCentroidOpt:
-    def test_empty_input(self):
-        topic = _topic([(date(2020, 1, 1), ["A."])])
-        assert centroid_opt([], build_vectorizer(topic), 2) == []
-
     def test_first_pick_matches_exhaustive_oracle(self):
         _, vec, rows = _one_article(
             [
@@ -237,12 +229,6 @@ class TestBuildTimeline:
         vec = build_vectorizer(topic)
         with pytest.raises(EmptyTimeline):
             build_timeline(topic, _pools(vec, date(2021, 5, 5)), 1, "rank", vec)
-
-    def test_unknown_method_rejected(self):
-        topic = _topic([(date(2020, 1, 1), ["Only day."])])
-        vec = build_vectorizer(topic)
-        with pytest.raises(ValueError):
-            build_timeline(topic, _pools(vec, date(2020, 1, 1)), 1, "best", vec)
 
     def test_event_cluster_restricts_pool(self):
         topic = _topic(
