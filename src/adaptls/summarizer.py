@@ -16,6 +16,11 @@ if TYPE_CHECKING:
     from .event_ranking import EventCluster
 
 REDUNDANCY_THRESHOLD = 0.8
+# centroid-opt adds a row only for a gain above this bound on the rounding
+# error of its cosines.  Without it, a row that is a rounded copy of a chosen
+# row (unit weights 1.0 and 0.9999999999999999) could "improve" the
+# objective by one ulp.
+MIN_GAIN = 1e-12
 
 
 def expert_k(timelines: list[Timeline]) -> int:
@@ -77,7 +82,8 @@ def centroid_opt(rows: list[int], vec: Vectorizer, k: int) -> list[int]:
     At each step the candidate whose addition gives the highest cosine of the
     normalized summed summary vector to the centroid is added (ties go to
     the earlier row); the build stops at k rows or as soon as no candidate
-    improves the objective.  Returns the chosen rows in row order.
+    improves the objective by more than MIN_GAIN.  Returns the chosen rows
+    in row order.
     """
     block, to_centroid = _block(rows, vec)
     # |s + v|^2 = |s|^2 + 2 s.v + |v|^2, where |v|^2 is 1, or 0 for an empty
@@ -95,7 +101,7 @@ def centroid_opt(rows: list[int], vec: Vectorizer, k: int) -> list[int]:
         )
         values[chosen] = -math.inf
         best = int(np.argmax(values))
-        if not values[best] > objective:
+        if not values[best] > objective + MIN_GAIN:
             break
         chosen.append(best)
         summary += block.row(best, len(summary))
