@@ -180,37 +180,41 @@ def _run_topic(topic_dir: Path, config: RunConfig):
     expert k of all the topic's references; the base constraint asks for
     each reference's length and expert k.  Each distinct (l, k) is built
     once.  A topic with fewer summarizable dates than l gets a shorter
-    timeline, so each output's `l` is the number of entries written.
+    timeline, so each output's `l` is the number of entries written.  A
+    MemoryError names the topic.
     """
     _bind(_PIPELINE)  # also in a worker of a spawn or forkserver pool
-    topic = _prepare(topic_dir, config)
-    vec = build_vectorizer(topic)
-    items = _score_items(topic, config, vec)
-    summarizer = config.effective_summarizer()
-    adaptive = config.constraint == "adaptive"
-    if adaptive:
-        l, _, point = adaptive_selection.choose_length([score for *_, score in items], config)
-        knee = point._asdict()
-        k = expert_k(topic.reference_timelines) if config.k_policy == "expert" else 1
+    try:
+        topic = _prepare(topic_dir, config)
+        vec = build_vectorizer(topic)
+        items = _score_items(topic, config, vec)
+        summarizer = config.effective_summarizer()
+        adaptive = config.constraint == "adaptive"
+        if adaptive:
+            l, _, point = adaptive_selection.choose_length([score for *_, score in items], config)
+            knee = point._asdict()
+            k = expert_k(topic.reference_timelines) if config.k_policy == "expert" else 1
 
-    outputs = []
-    timelines = {}
-    for reference in topic.reference_timelines:
-        if not adaptive:
-            l, k, knee = reference.length, expert_k([reference]), None
-        if (l, k) not in timelines:
-            timelines[l, k] = build_timeline(topic, _select_top(items, l), k, summarizer, vec)
-        timeline = timelines[l, k]
-        entry = {
-            "file": _prediction_name(topic.name, reference.name),
-            "topic": topic.name,
-            "reference": reference.name,
-            "l": timeline.length,
-            "k": k,
-            "knee": knee,
-        }
-        outputs.append((entry, timeline))
-    return outputs
+        outputs = []
+        timelines = {}
+        for reference in topic.reference_timelines:
+            if not adaptive:
+                l, k, knee = reference.length, expert_k([reference]), None
+            if (l, k) not in timelines:
+                timelines[l, k] = build_timeline(topic, _select_top(items, l), k, summarizer, vec)
+            timeline = timelines[l, k]
+            entry = {
+                "file": _prediction_name(topic.name, reference.name),
+                "topic": topic.name,
+                "reference": reference.name,
+                "l": timeline.length,
+                "k": k,
+                "knee": knee,
+            }
+            outputs.append((entry, timeline))
+        return outputs
+    except MemoryError as exc:  # raised in a worker, it reaches `main` with this message
+        raise MemoryError(f"topic {topic_dir.name!r}: {str(exc) or 'out of memory'}") from exc
 
 
 def cmd_train(args) -> int:
@@ -289,20 +293,17 @@ def _load_prediction(pred_dir: Path, topic_name: str, ref_name: str) -> Timeline
 def cmd_eval(args) -> int:
     pred_dir = Path(args.pred)
     _bind(["evaluation"])
-    dataset = _checked_references(args.dataset)
-    report = evaluation.EvalReport()
-    for topic_name, references in dataset:
-        for reference in references:
-            pred = _load_prediction(pred_dir, topic_name, reference.name)
-            report.pairs.append(
-                evaluation.evaluate_pair(pred, reference, topic_name)
-            )
+    report = evaluation.report([
+        evaluation.evaluate_pair(_load_prediction(pred_dir, topic_name, reference.name), reference, topic_name)
+        for topic_name, references in _checked_references(args.dataset)
+        for reference in references
+    ])
     out_prefix = Path(args.out) if args.out else pred_dir / "report"
     out_prefix.parent.mkdir(parents=True, exist_ok=True)
     out_prefix.with_name(out_prefix.name + ".json").write_text(
-        json.dumps(report.to_json_obj(), indent=2) + "\n", encoding="utf-8"
+        json.dumps(report, indent=2) + "\n", encoding="utf-8"
     )
-    table = report.to_text_table(label=args.label)
+    table = evaluation.report_table(report["macro"], args.label)
     out_prefix.with_name(out_prefix.name + ".txt").write_text(table + "\n", encoding="utf-8")
     print(table)
     return 0
@@ -432,7 +433,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (AdaptlsError, ValueError, OSError) as exc:
+    except (AdaptlsError, ValueError, OSError, MemoryError) as exc:
         error = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(error), file=sys.stderr)
         return 1

@@ -17,8 +17,13 @@ from functools import reduce
 from operator import add
 from typing import NamedTuple
 
-from .corpus import Timeline, Topic, _Record, tokenize
+from .corpus import Timeline, Topic, tokenize
 from .errors import EmptyCorpus, EmptyDataset
+
+
+def _f1(precision: float, recall: float) -> float:
+    """The harmonic mean of `precision` and `recall`, whose sum is not 0."""
+    return 2.0 * precision * recall / (precision + recall)
 
 
 class PRF(NamedTuple):
@@ -28,10 +33,7 @@ class PRF(NamedTuple):
 
     @staticmethod
     def from_pr(precision: float, recall: float) -> "PRF":
-        if precision + recall == 0.0:
-            return PRF(precision, recall, 0.0)
-        f1 = 2.0 * precision * recall / (precision + recall)
-        return PRF(precision, recall, f1)
+        return PRF(precision, recall, _f1(precision, recall) if precision + recall else 0.0)
 
 
 _ZERO = PRF(0.0, 0.0, 0.0)
@@ -58,10 +60,6 @@ def _ngrams(tokens: list[str], n: int) -> Counter:
     return Counter(tokens if n == 1 else zip(tokens, tokens[1:]))
 
 
-def _tables(tokens_by_day: dict[Date, list[str]], n: int) -> dict[Date, Counter]:
-    return {day: _ngrams(tokens, n) for day, tokens in tokens_by_day.items()}
-
-
 def _overlap(a: Counter, b: Counter) -> int:
     """Clipped n-gram overlap of two tables."""
     if len(a) > len(b):
@@ -69,20 +67,15 @@ def _overlap(a: Counter, b: Counter) -> int:
     return sum(min(count, b[gram]) for gram, count in a.items() if gram in b)
 
 
-def _f1(overlap: int, pred_total: int, ref_total: int) -> float:
-    """`PRF.from_pr(overlap / pred_total, overlap / ref_total).f1`, 0 without overlap."""
-    if not overlap:
-        return 0.0
-    precision = overlap / pred_total
-    recall = overlap / ref_total
-    return 2.0 * precision * recall / (precision + recall)
+def _rouge_f1(overlap: int, pred_total: int, ref_total: int) -> float:
+    """`PRF.from_pr(overlap / pred_total, overlap / ref_total).f1`, 0 without overlap
+    (so also when a side has no n-gram)."""
+    return _f1(overlap / pred_total, overlap / ref_total) if overlap else 0.0
 
 
 def entry_tokens(timeline: Timeline) -> dict[Date, list[str]]:
     """Each entry's summary tokens, in date order."""
-    return {
-        day: tokenize(" ".join(summary)) for day, summary in timeline.entries
-    }
+    return {day: tokenize(" ".join(summary)) for day, summary in timeline.entries}
 
 
 def _gamma(gap: int) -> float:
@@ -91,63 +84,66 @@ def _gamma(gap: int) -> float:
 
 
 def align_dates(
-    pred_tokens: dict[Date, list[str]],
-    ref_tokens: dict[Date, list[str]],
-    unigrams: tuple[dict[Date, Counter], dict[Date, Counter]] | None = None,
-) -> list[tuple[Date, Date, float]]:
+    pred_tokens: dict[Date, list[str]], ref_tokens: dict[Date, list[str]]
+) -> list[tuple[Date, Date, float, float]]:
     """m:1 alignment of generated dates onto reference dates.
 
-    Takes both timelines, neither empty, as `entry_tokens`, and optionally
-    their unigram tables (`_tables(tokens, 1)` of each), else builds them.
-    Each generated date picks the reference date maximizing rouge_1 F1 *
-    gamma; ties go to the temporally nearest, then earlier, reference date.
+    Takes both timelines, neither empty, as `entry_tokens`.  Each generated
+    date picks the reference date maximizing rouge_1 F1 * gamma; ties go to
+    the temporally nearest, then earlier, reference date.  Returns
+    (generated date, reference date, gamma, rouge_1 F1 * gamma) per
+    generated date.
     """
-    pred_grams, ref_grams = unigrams or (_tables(pred_tokens, 1), _tables(ref_tokens, 1))
-    refs = [(day, len(tokens), ref_grams[day]) for day, tokens in ref_tokens.items()]
+    refs = [(day, len(tokens), _ngrams(tokens, 1)) for day, tokens in ref_tokens.items()]
     alignment = []
     for p_day, p_tokens in pred_tokens.items():
         p_total = len(p_tokens)
-        p_grams = pred_grams[p_day]
+        p_grams = _ngrams(p_tokens, 1)
         best = None
         for r_day, r_total, r_grams in refs:
             gap = abs((p_day - r_day).days)
-            score = _f1(_overlap(p_grams, r_grams), p_total, r_total) * _gamma(gap)
+            score = _rouge_f1(_overlap(p_grams, r_grams), p_total, r_total) * _gamma(gap)
             key = (-score, gap, r_day)
             if best is None or key < best:
                 best = key
-        _, gap, r_day = best
-        alignment.append((p_day, r_day, _gamma(gap)))
+        negated, gap, r_day = best
+        alignment.append((p_day, r_day, _gamma(gap), -negated))
     return alignment
+
+
+def _precision_recall(scored: list[tuple[Date, float]], ref_days: list[Date]) -> PRF:
+    """PRF of (reference date, value) pairs, one per generated date: precision
+    averages the values over the generated dates; recall credits each
+    reference date with the best value aligned to it."""
+    best_per_ref: dict[Date, float] = {}
+    for r_day, value in scored:
+        best_per_ref[r_day] = max(best_per_ref.get(r_day, 0.0), value)
+    precision = _total(value for _, value in scored) / len(scored)
+    recall = _total(best_per_ref.get(day, 0.0) for day in ref_days) / len(ref_days)
+    return PRF.from_pr(precision, recall)
 
 
 def _align_rouge(pred: Timeline, ref: Timeline) -> tuple[PRF, PRF]:
     """Align-based ROUGE-1 and ROUGE-2 F1, from one alignment.
 
-    Each entry's unigram and bigram tables are built once; an empty
-    generated timeline scores zero.
+    ROUGE-1 takes the scores the alignment picked its reference dates by;
+    only the aligned pairs' bigrams are scored again.  An empty generated
+    timeline scores zero.
     """
     if not pred.entries:
         return _ZERO, _ZERO
     pred_tokens = entry_tokens(pred)
     ref_tokens = entry_tokens(ref)
-    unigrams = (_tables(pred_tokens, 1), _tables(ref_tokens, 1))
-    alignment = align_dates(pred_tokens, ref_tokens, unigrams)
-    aligned_refs = {r_day: ref_tokens[r_day] for _, r_day, _ in alignment}
-    bigrams = (_tables(pred_tokens, 2), _tables(aligned_refs, 2))
-    scores = []
-    for n, (pred_grams, ref_grams) in ((1, unigrams), (2, bigrams)):
-        contributions: dict[Date, float] = {}
-        best_per_ref: dict[Date, float] = {}
-        for p_day, r_day, gamma in alignment:
-            overlap = _overlap(pred_grams[p_day], ref_grams[r_day])
-            f1 = _f1(overlap, len(pred_tokens[p_day]) - n + 1, len(ref_tokens[r_day]) - n + 1)
-            value = f1 * gamma
-            contributions[p_day] = value
-            best_per_ref[r_day] = max(best_per_ref.get(r_day, 0.0), value)
-        precision = _total(contributions.values()) / len(pred.entries)
-        recall = _total(best_per_ref.get(day, 0.0) for day in ref.dates()) / len(ref.entries)
-        scores.append(PRF.from_pr(precision, recall))
-    return scores[0], scores[1]
+    alignment = align_dates(pred_tokens, ref_tokens)
+    ref_bigrams = {r_day: _ngrams(ref_tokens[r_day], 2) for _, r_day, _, _ in alignment}
+    bigram_scores = []
+    for p_day, r_day, gamma, _ in alignment:
+        p_tokens, r_tokens = pred_tokens[p_day], ref_tokens[r_day]
+        overlap = _overlap(_ngrams(p_tokens, 2), ref_bigrams[r_day])
+        bigram_scores.append((r_day, _rouge_f1(overlap, len(p_tokens) - 1, len(r_tokens) - 1) * gamma))
+    ref_days = ref.dates()
+    ar1 = _precision_recall([(r_day, score) for _, r_day, _, score in alignment], ref_days)
+    return ar1, _precision_recall(bigram_scores, ref_days)
 
 
 # ---------------------------------------------------------------------------
@@ -162,59 +158,34 @@ class PairResult(NamedTuple):
     ar2: PRF
 
 
-class EvalReport(_Record):
-    _fields = __slots__ = ("pairs",)
-
-    def __init__(self, pairs: list[PairResult] | None = None):
-        self.pairs = [] if pairs is None else pairs
-
-    def macro(self) -> dict[str, float]:
-        if not self.pairs:
-            return {"AR1-F": 0.0, "AR2-F": 0.0, "DATE-F1": 0.0}
-        n = len(self.pairs)
-        return {
-            "AR1-F": _total(p.ar1.f1 for p in self.pairs) / n,
-            "AR2-F": _total(p.ar2.f1 for p in self.pairs) / n,
-            "DATE-F1": _total(p.date_f1.f1 for p in self.pairs) / n,
-        }
-
-    def to_json_obj(self) -> dict:
-        def prf(v: PRF) -> dict:
-            return {"precision": v.precision, "recall": v.recall, "f1": v.f1}
-
-        return {
-            "pairs": [
-                {
-                    "topic": p.topic,
-                    "reference": p.reference,
-                    "date_f1": prf(p.date_f1),
-                    "ar1": prf(p.ar1),
-                    "ar2": prf(p.ar2),
-                }
-                for p in self.pairs
-            ],
-            "macro": self.macro(),
-        }
-
-    def to_text_table(self, label: str = "dataset") -> str:
-        macro = self.macro()
-        header = f"{'Method':<20} {'AR1-F':>8} {'AR2-F':>8} {'DATE-F1':>8}"
-        row = (
-            f"{label:<20} {macro['AR1-F']:>8.3f} "
-            f"{macro['AR2-F']:>8.3f} {macro['DATE-F1']:>8.3f}"
-        )
-        return "\n".join([header, row])
-
-
 def evaluate_pair(pred: Timeline, ref: Timeline, topic: str) -> PairResult:
-    ar1, ar2 = _align_rouge(pred, ref)
-    return PairResult(
-        topic=topic,
-        reference=ref.name,
-        date_f1=date_f1(pred, ref),
-        ar1=ar1,
-        ar2=ar2,
-    )
+    return PairResult(topic, ref.name, date_f1(pred, ref), *_align_rouge(pred, ref))
+
+
+def report(pairs: list[PairResult]) -> dict:
+    """`eval`'s report: {"pairs": each pair's fields, "macro": the mean F1s}.
+
+    With no pairs every mean is 0.0.
+    """
+    n = max(len(pairs), 1)
+    return {
+        "pairs": [
+            {name: value._asdict() if isinstance(value, PRF) else value for name, value in pair._asdict().items()}
+            for pair in pairs
+        ],
+        "macro": {
+            "AR1-F": _total(p.ar1.f1 for p in pairs) / n,
+            "AR2-F": _total(p.ar2.f1 for p in pairs) / n,
+            "DATE-F1": _total(p.date_f1.f1 for p in pairs) / n,
+        },
+    }
+
+
+def report_table(macro: dict[str, float], label: str) -> str:
+    """`report`'s macro averages as text: a header line and one row named `label`."""
+    header = " ".join([f"{'Method':<20}", *(f"{name:>8}" for name in macro)])
+    row = " ".join([f"{label:<20}", *(f"{value:>8.3f}" for value in macro.values())])
+    return header + "\n" + row
 
 
 # ---------------------------------------------------------------------------

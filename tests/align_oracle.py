@@ -9,6 +9,8 @@ hold `adaptls.evaluation.evaluate_pair` equal to it with `==`.
 
 from collections import Counter
 from datetime import date as Date
+from functools import reduce
+from operator import add
 
 from adaptls.corpus import Timeline
 from adaptls.errors import EmptyTimeline
@@ -27,6 +29,11 @@ def _rouge_counts(pred_counts: Counter, ref_counts: Counter) -> PRF:
     small, large = sorted((pred_counts, ref_counts), key=len)
     overlap = sum(min(count, large[gram]) for gram, count in small.items() if gram in large)
     return PRF.from_pr(overlap / pred_total, overlap / ref_total)
+
+
+def _left_to_right(values) -> float:
+    """The floats `values` added in order from 0.0 (`sum` compensates from Python 3.12 on)."""
+    return reduce(add, values, 0.0)
 
 
 def rouge_n(pred_tokens: list[str], ref_tokens: list[str], n: int) -> PRF:
@@ -73,8 +80,8 @@ def align_rouge_f1(pred: Timeline, ref: Timeline, n: int) -> PRF:
         value = rouge_n(pred_tokens[p_day], ref_tokens[r_day], n).f1 * gamma
         contributions[p_day] = value
         best_per_ref[r_day] = max(best_per_ref.get(r_day, 0.0), value)
-    precision = sum(contributions.values()) / len(pred.entries)
-    recall = sum(best_per_ref.get(day, 0.0) for day in ref.dates()) / len(ref.entries)
+    precision = _left_to_right(contributions.values()) / len(pred.entries)
+    recall = _left_to_right(best_per_ref.get(day, 0.0) for day in ref.dates()) / len(ref.entries)
     return PRF.from_pr(precision, recall)
 
 

@@ -17,7 +17,6 @@ from datetime import date, timedelta
 import pytest
 
 from adaptls.adaptive_selection import (
-    choose_length,
     detect_knee,
     normalize_scores,
     sc_curve,

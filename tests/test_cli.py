@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import multiprocessing
+import os
 import random
 import shutil
 import subprocess
@@ -757,6 +758,20 @@ class TestEval:
         files = sorted(path.name for path in (tmp_path / "sweep").iterdir())
         assert files == ["a0.01.json", "a0.01.txt", "a0.05.json", "a0.05.txt"]
 
+    def test_no_pairs(self, mini_dir, tmp_path, capsys):
+        """A dataset whose timelines.jsonl files are empty has no pairs to score: every mean is 0.0."""
+        root = tmp_path / "ds"
+        shutil.copytree(mini_dir, root)
+        for path in root.glob("*/timelines.jsonl"):
+            path.write_text("")
+        pred_dir = tmp_path / "pred"
+        pred_dir.mkdir()
+        assert main(["eval", "--pred", str(pred_dir), "--dataset", str(root)]) == 0
+        table = "Method                  AR1-F    AR2-F  DATE-F1\nrun                     0.000    0.000    0.000\n"
+        macro = {"AR1-F": 0.0, "AR2-F": 0.0, "DATE-F1": 0.0}
+        assert (pred_dir / "report.json").read_text() == json.dumps({"pairs": [], "macro": macro}, indent=2) + "\n"
+        assert (pred_dir / "report.txt").read_text() == capsys.readouterr().out == table
+
     def test_missing_prediction_file_errors(self, planted_dir, tmp_path, capsys):
         pred_dir = tmp_path / "empty"
         pred_dir.mkdir()
@@ -813,14 +828,44 @@ class TestStats:
 
 
 def _other_interpreters() -> list[str]:
-    """Every python3.N on PATH (N = 10-14) that starts and is not this interpreter's minor version."""
+    """Every python3.N (N = 10-14) that starts and is not this interpreter's minor version.
+
+    Looks on PATH and in each pyenv version ($PYENV_ROOT, default ~/.pyenv), whose
+    binaries start directly even where the shim of a version not selected does not.
+    """
+    pyenv_versions = Path(os.environ.get("PYENV_ROOT", Path.home() / ".pyenv")) / "versions"
     found = []
     for minor in range(10, 15):
-        path = shutil.which(f"python3.{minor}")
-        if minor != sys.version_info.minor and path:
-            if subprocess.run([path, "-c", "pass"], capture_output=True, timeout=60).returncode == 0:
-                found.append(path)
+        if minor == sys.version_info.minor:
+            continue
+        name = f"python3.{minor}"
+        for path in [shutil.which(name), *map(str, sorted(pyenv_versions.glob(f"*/bin/{name}")))]:
+            if path and path not in found:
+                if subprocess.run([path, "-c", "pass"], capture_output=True, timeout=60).returncode == 0:
+                    found.append(path)
     return found
+
+
+# Prints how many of 3000 random (prediction, reference) pairs, each of 1-8 dates
+# with 8 words a day, `evaluate_pair` and `align_oracle.evaluate_pair` score apart.
+ORACLE_COMPARISON = f"""
+import random, sys
+from datetime import date, timedelta
+sys.path.insert(0, {str(Path(__file__).parent)!r})
+import align_oracle
+from adaptls.corpus import Timeline
+from adaptls.evaluation import evaluate_pair
+
+rng = random.Random(3)
+words = ["storm", "coast", "rain", "flood", "town", "river", "wind", "crews"]
+
+def timeline(name):
+    days = rng.sample(range(20), rng.randint(1, 8))
+    return Timeline(name, [(date(2020, 1, 1) + timedelta(d), [" ".join(rng.choices(words, k=8))]) for d in days])
+
+pairs = [(timeline("generated"), timeline("ref")) for _ in range(3000)]
+print(sum(evaluate_pair(p, r, "t") != align_oracle.evaluate_pair(p, r, "t") for p, r in pairs))
+"""
 
 
 class TestAcrossInterpreters:
@@ -830,7 +875,7 @@ class TestAcrossInterpreters:
         command loads numpy; from 3.12 on `sum` of floats would round differently."""
         others = _other_interpreters()
         if not others:
-            pytest.skip("no other python3.N (N = 10-14) on PATH starts")
+            pytest.skip("no other python3.N (N = 10-14) on PATH or under pyenv starts")
         pred = tmp_path / "pred"
         assert main(["run", "--dataset-dir", str(mini_dir), "--output-dir", str(pred), "--method", "adprm-e"]) == 0
         fresh_python("-c", GENERATE, "dates-raw", "1", str(tmp_path / "bench"))
@@ -849,6 +894,12 @@ class TestAcrossInterpreters:
             stdout = fresh_python("-m", "adaptls.cli", *evaluate(f"other{i}"), python=python)
             stdout += fresh_python("-m", "adaptls.cli", *stats, python=python)
             assert written(f"other{i}", stdout) == expected, python
+
+    def test_evaluate_pair_equals_oracle(self, fresh_python):
+        """`evaluate_pair` and `tests/align_oracle.py` give the same floats under every
+        Python found, this one included; neither loads numpy."""
+        for python in [sys.executable, *_other_interpreters()]:
+            assert fresh_python("-c", ORACLE_COMPARISON, python=python) == "0\n", python
 
 
 class TestKneeCurve:
@@ -1252,6 +1303,24 @@ def _one_json_error(capsys) -> dict:
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     return json.loads(err)
+
+
+class TestOutOfMemory:
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_memory_error_is_one_json_line(self, mini_dir, tmp_path, monkeypatch, capsys, jobs):
+        """A MemoryError, here raised by MCL, exits 1 with one JSON line naming the topic,
+        also when a fork pool's worker raises it."""
+
+        def out_of_memory(graph, config):
+            raise MemoryError
+
+        monkeypatch.setattr("adaptls.event_ranking.markov_cluster", out_of_memory)
+        fork_pool = functools.partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork"))
+        monkeypatch.setattr("adaptls.cli.ProcessPoolExecutor", fork_pool)
+        argv = ["run", "--dataset-dir", str(mini_dir), "--output-dir", str(tmp_path / "out"), "--method", "adprm-e"]
+        assert main(argv + ["--jobs", jobs]) == 1
+        assert _one_json_error(capsys) == {"error": "MemoryError", "message": "topic 'alpha': out of memory"}
+        assert not (tmp_path / "out").exists()
 
 
 class TestMalformedInput:

@@ -9,6 +9,8 @@ topic's tokens, so the tests can hold the shared CSR representation of
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -21,6 +23,11 @@ LEAD_SENTENCES = 5
 # as the cosines of mutually orthogonal unit rows to their centroid, come
 # out of different float evaluation orders a few ulps apart.
 TIE = 1e-9
+
+
+def _left_to_right(values) -> float:
+    """The floats `values` added in order from 0.0 (`sum` compensates from Python 3.12 on)."""
+    return reduce(add, values, 0.0)
 
 
 @dataclass(frozen=True)
@@ -42,13 +49,13 @@ class SparseVector:
         return dict(zip(self.indices, self.weights))
 
     def norm(self) -> float:
-        return math.sqrt(sum(w * w for w in self.weights))
+        return math.sqrt(_left_to_right(w * w for w in self.weights))
 
     def dot(self, other: "SparseVector") -> float:
         if len(self.indices) > len(other.indices):
             return other.dot(self)
         lookup = other.as_dict()
-        return sum(w * lookup[i] for i, w in zip(self.indices, self.weights) if i in lookup)
+        return _left_to_right(w * lookup[i] for i, w in zip(self.indices, self.weights) if i in lookup)
 
     def cosine(self, other: "SparseVector") -> float:
         denom = self.norm() * other.norm()
@@ -95,7 +102,7 @@ def counter_rows(vocabulary: dict[str, int], idf: list[float], token_lists):
         tf = Counter(vocabulary[tok] for tok in tokens if tok in vocabulary)
         cols = sorted(tf)
         weights = [tf[col] * idf[col] for col in cols]
-        norm = math.sqrt(sum(w * w for w in weights))
+        norm = math.sqrt(_left_to_right(w * w for w in weights))
         indices.extend(cols)
         data.extend(w * (1.0 / norm) for w in weights)
         indptr.append(len(indices))
